@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace sqos;
-  const bench::BenchArgs args = bench::parse_args(argc, argv);
+  const bench::BenchArgs args = bench::parse_args(argc, argv, {"phases"});
   bench::print_preamble("Ablation A10 — shifting-hotspot workload (popularity re-dealt per phase)",
                         "QoS per replication strategy, stationary vs 4-phase workload", args);
 

@@ -217,84 +217,6 @@ int main(int argc, char** argv) {
   }
   scale_table.print();
 
-  // ------------------------------ part 2b: PDES intra-run speedup curve ----
-  // The largest part-2 topology replayed at shards=1,2,4,8 (sim/pdes.hpp).
-  // Cells run strictly one at a time — never pool-parallel — so each wall
-  // time measures the engine alone; the shards=1 cell (the serial event
-  // heap) is the speedup denominator. Exact metrics must be byte-identical
-  // across every shard count, so the curve is simultaneously a speedup
-  // measurement and a serial-equivalence gate: any drift fails the binary.
-  const ScalePoint pdes_point = args.quick ? ScalePoint{64, 512} : ScalePoint{2048, 100000};
-  const std::vector<std::size_t> shard_counts{1, 2, 4, 8};
-  struct PdesCell {
-    std::size_t shards = 1;
-    exp::ExperimentResult result;
-    double wall_ms = 0.0;
-  };
-  std::vector<PdesCell> pdes_cells;
-  for (const std::size_t k : shard_counts) {
-    exp::ExperimentParams params;
-    params.users = pdes_point.users;
-    params.mode = core::AllocationMode::kSoft;
-    params.policy = core::PolicyWeights::p100();
-    params.replication = core::ReplicationConfig::rep(1, 3);
-    params.cluster = exp::scaled_cluster_config(pdes_point.rms);
-    params.shards = k;
-    workload::PatternParams pattern = exp::paper_pattern_params(pdes_point.users);
-    pattern.duration = SimTime::seconds(600.0);
-    params.pattern = pattern;
-    params.seed = args.base_seed;
-    const auto t0 = Clock::now();
-    exp::ExperimentResult result = exp::run_averaged(params, 1, 1);
-    const auto t1 = Clock::now();
-    const double wall_ms = elapsed_ns(t0, t1) / 1e6;
-    bench::record_cell_json(params, result, wall_ms);
-    pdes_cells.push_back(PdesCell{k, std::move(result), wall_ms});
-  }
-
-  const auto eps = [](const PdesCell& c) {
-    return c.wall_ms > 0.0 ? static_cast<double>(c.result.executed_events) / (c.wall_ms / 1e3)
-                           : 0.0;
-  };
-  const PdesCell& pdes_base = pdes_cells.front();
-  const double base_eps = eps(pdes_base);
-  bool pdes_mismatch = false;
-  AsciiTable pdes_table{"PDES intra-run speedup (" + std::to_string(pdes_point.rms) +
-                        " RMs, " + std::to_string(pdes_point.users) +
-                        " users; serial-equivalence checked)"};
-  pdes_table.set_header({"shards", "events", "events/sec", "speedup", "exact match"});
-  for (const PdesCell& c : pdes_cells) {
-    const exp::ExperimentResult& r = c.result;
-    const exp::ExperimentResult& b = pdes_base.result;
-    // Byte-identity of every exact table metric vs the serial baseline.
-    const bool same = r.requests == b.requests && r.completed == b.completed &&
-                      r.failed == b.failed && r.fail_rate == b.fail_rate &&
-                      r.overallocate_ratio == b.overallocate_ratio &&
-                      r.control_messages == b.control_messages &&
-                      r.control_bytes == b.control_bytes &&
-                      r.executed_events == b.executed_events &&
-                      r.mean_negotiation_ms == b.mean_negotiation_ms;
-    if (!same) pdes_mismatch = true;
-    const double cell_eps = eps(c);
-    const double speedup = base_eps > 0.0 ? cell_eps / base_eps : 0.0;
-    pdes_table.add_row({std::to_string(c.shards), std::to_string(r.executed_events),
-                        format_double(cell_eps, 0), format_double(speedup, 2),
-                        same ? "yes" : "NO"});
-    bench::JsonSink& sink = bench::json_sink();
-    if (!sink.path.empty()) {
-      const std::string tag = "pdes.s" + std::to_string(c.shards) + ".";
-      sink.report.add(tag + "events_per_sec", cell_eps, "1/s", MetricGoal::kInfo);
-      sink.report.add(tag + "parallel_speedup", speedup, "x", MetricGoal::kInfo);
-    }
-  }
-  pdes_table.print();
-  if (pdes_mismatch) {
-    std::fprintf(stderr,
-                 "FAIL: PDES run diverged from the serial baseline — the sharded "
-                 "engine is no longer serial-equivalent\n");
-    return 1;
-  }
-
   // --------------------------- part 3: decision-latency micro curve --------
   // Wall-clock cost of one selection decision vs index size, spin-normalized.
   // Runs the full size range even in quick mode — it is a micro loop, cheap

@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace sqos;
-  const bench::BenchArgs args = bench::parse_args(argc, argv);
+  const bench::BenchArgs args = bench::parse_args(argc, argv, {"spread_seeds"});
   bench::print_preamble("Ablation A11 — metric spread across workload seeds",
                         "mean ± stddev [min, max] over N seeds, 256 users", args);
 

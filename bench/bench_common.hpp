@@ -7,20 +7,20 @@
 //               hardware concurrency; jobs=1 = legacy serial). Outputs are
 //               bit-identical at every jobs value — the parallel runner
 //               merges in submission order.
-//   shards=N    PDES execution shards inside each run (default 1 = the
-//               serial event heap). Like jobs=, outputs are bit-identical
-//               at every value — only intra-run throughput changes.
 //   csv=path    mirror the table/series to a CSV file
 //   json=path   emit an sqos-bench-v1 document (one exact metric per table
 //               cell plus per-cell wall time and sweep-level speedup
 //               aggregates) for tools/perf_gate
 //   quick=1     single seed, reduced sweep (smoke-test mode)
+// plus any keys a binary declares to parse_args. Any other key is an error
+// (exit 1): a mistyped key never silently runs the default.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,7 +37,6 @@ struct BenchArgs {
   Config cfg;
   std::size_t seeds = 3;
   std::size_t jobs = 1;
-  std::size_t shards = 1;  // PDES execution shards per run
   bool quick = false;
   std::string csv_path;
   std::uint64_t base_seed = 1;
@@ -85,7 +84,9 @@ inline void flush_json_sink() {
   std::printf("wrote %s (%zu cells)\n", sink.path.c_str(), sink.cells);
 }
 
-inline BenchArgs parse_args(int argc, char** argv) {
+/// Parse the shared keys above plus the binary's own `extra_keys`.
+inline BenchArgs parse_args(int argc, char** argv,
+                            std::vector<std::string_view> extra_keys = {}) {
   auto parsed = Config::from_args(argc, argv);
   if (!parsed.is_ok()) {
     std::fprintf(stderr, "%s\n", parsed.status().to_string().c_str());
@@ -93,6 +94,11 @@ inline BenchArgs parse_args(int argc, char** argv) {
   }
   BenchArgs args;
   args.cfg = std::move(parsed).take();
+  extra_keys.insert(extra_keys.end(), {"seeds", "users", "jobs", "csv", "json", "quick", "seed"});
+  if (const Status known = args.cfg.require_known(extra_keys); !known.is_ok()) {
+    std::fprintf(stderr, "%s\n", known.to_string().c_str());
+    std::exit(1);
+  }
   args.quick = args.cfg.get_bool("quick", false);
   args.seeds = static_cast<std::size_t>(args.cfg.get_int("seeds", args.quick ? 1 : 3));
   args.csv_path = args.cfg.get_string("csv", "");
@@ -100,8 +106,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
   args.jobs = static_cast<std::size_t>(
       args.cfg.get_int("jobs", static_cast<std::int64_t>(exp::default_jobs())));
   if (args.jobs == 0) args.jobs = exp::default_jobs();
-  args.shards = static_cast<std::size_t>(args.cfg.get_int("shards", 1));
-  if (args.shards == 0) args.shards = 1;
 
   const std::string json_path = args.cfg.get_string("json", "");
   if (!json_path.empty()) {
@@ -115,7 +119,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
     sink.report.set_meta("seeds", std::to_string(args.seeds));
     sink.report.set_meta("seed", std::to_string(args.base_seed));
     sink.report.set_meta("jobs", std::to_string(args.jobs));
-    sink.report.set_meta("shards", std::to_string(args.shards));
     sink.report.set_meta("mode", args.quick ? "quick" : "full");
     sink.sweep_start = std::chrono::steady_clock::now();
     std::atexit(flush_json_sink);
@@ -181,9 +184,6 @@ inline void record_cell_json(const exp::ExperimentParams& params,
 /// keeps the averaged result bit-identical to a serial run.
 inline exp::ExperimentResult run(const BenchArgs& args, exp::ExperimentParams params) {
   params.seed = args.base_seed;
-  // shards= applies to every cell that did not pin its own value (the PDES
-  // ablation pins per-cell counts); byte-identical output either way.
-  if (params.shards == 1) params.shards = args.shards;
   const auto t0 = std::chrono::steady_clock::now();
   exp::ExperimentResult result = exp::run_averaged(params, args.seeds, args.jobs);
   const auto t1 = std::chrono::steady_clock::now();
@@ -206,7 +206,6 @@ class CellSweep {
   /// Queue one cell; returns its handle (stable submission index).
   [[nodiscard]] std::size_t submit(exp::ExperimentParams params) {
     params.seed = args_.base_seed;
-    if (params.shards == 1) params.shards = args_.shards;
     cells_.push_back(Cell{std::move(params), exp::ExperimentResult{}, 0.0});
     return cells_.size() - 1;
   }

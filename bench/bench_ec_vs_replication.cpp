@@ -8,7 +8,7 @@
 // overhead against 3x; per-file shard padding keeps the ratio just under 2).
 //
 // The binary emits every comparison axis as an exact JSON metric (the runs
-// are deterministic across repeats, jobs= and shards= values) and exits
+// are deterministic across repeats and jobs= values) and exits
 // non-zero unless the storage win and the workload agreement both hold —
 // the CI-gated claim for the ec-smoke job.
 #include "bench_common.hpp"

@@ -23,6 +23,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   const Config cfg = std::move(parsed).take();
+  if (const Status known = cfg.require_known({"objects", "consumers", "replicas", "seed"});
+      !known.is_ok()) {
+    std::fprintf(stderr, "%s\n", known.to_string().c_str());
+    return 1;
+  }
   const int objects = static_cast<int>(cfg.get_int("objects", 12));
   const int consumers = static_cast<int>(cfg.get_int("consumers", 20));
   const auto replicas = static_cast<std::size_t>(cfg.get_int("replicas", 2));

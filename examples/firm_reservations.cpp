@@ -65,6 +65,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const Config cfg = std::move(parsed).take();
+  if (const Status known = cfg.require_known({"requests", "max_retries", "seed"}); !known.is_ok()) {
+    std::fprintf(stderr, "%s\n", known.to_string().c_str());
+    return 1;
+  }
   const int requests = static_cast<int>(cfg.get_int("requests", 60));
   const int max_retries = static_cast<int>(cfg.get_int("max_retries", 5));
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));

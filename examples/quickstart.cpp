@@ -18,6 +18,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   const Config cfg = std::move(parsed).take();
+  if (const Status known = cfg.require_known({"users", "mode", "seed", "replication", "nrep",
+                                              "nmaxr", "random_policy", "bitrate_median",
+                                              "bitrate_max", "dur_min", "dur_max", "zipf"});
+      !known.is_ok()) {
+    std::fprintf(stderr, "%s\n", known.to_string().c_str());
+    return 1;
+  }
 
   exp::ExperimentParams params;
   params.users = static_cast<std::size_t>(cfg.get_int("users", 64));

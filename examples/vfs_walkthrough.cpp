@@ -21,6 +21,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", parsed.status().to_string().c_str());
     return 1;
   }
+  if (const Status known = parsed.value().require_known({"seed"}); !known.is_ok()) {
+    std::fprintf(stderr, "%s\n", known.to_string().c_str());
+    return 1;
+  }
   const auto seed = static_cast<std::uint64_t>(parsed.value().get_int("seed", 1));
 
   Rng rng{seed};

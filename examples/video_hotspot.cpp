@@ -24,6 +24,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const Config cfg = std::move(parsed).take();
+  if (const Status known = cfg.require_known({"replication", "viewers", "seed"}); !known.is_ok()) {
+    std::fprintf(stderr, "%s\n", known.to_string().c_str());
+    return 1;
+  }
   const bool replication = cfg.get_bool("replication", true);
   const int viewers = static_cast<int>(cfg.get_int("viewers", 120));
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));

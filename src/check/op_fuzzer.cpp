@@ -68,9 +68,6 @@ std::string FuzzResult::repro_line() const {
   if (options.mm_shards != defaults.mm_shards) {
     line += " --shards=" + std::to_string(options.mm_shards);
   }
-  if (options.pdes_shards != defaults.pdes_shards) {
-    line += " --pdes-shards=" + std::to_string(options.pdes_shards);
-  }
   if (options.file_count != defaults.file_count) {
     line += " --files=" + std::to_string(options.file_count);
   }
@@ -227,7 +224,6 @@ OpFuzzer::RunOutcome OpFuzzer::execute(const std::vector<FuzzOp>& ops,
   }
   cfg.client_count = options_.client_count;
   cfg.mm_shards = options_.mm_shards;
-  cfg.exec_shards = options_.pdes_shards;
   cfg.mode = options_.mode;
   cfg.layout = options_.layout;
   cfg.seed = options_.seed;
@@ -328,25 +324,6 @@ OpFuzzer::RunOutcome OpFuzzer::execute(const std::vector<FuzzOp>& ops,
   RunOutcome outcome;
   outcome.violations = auditor.violations();
   outcome.executed_events = sim.executed_events();
-  // PDES bookkeeping law (per-window event-count conservation): every pushed
-  // event was popped or cancelled, and every mailbox-routed cross-shard
-  // message was drained at a window barrier — nothing leaked between
-  // sub-queues. Trivially absent under the serial queue.
-  if (const sim::PdesEngine* pdes = sim.pdes(); pdes != nullptr && !pdes->conserved()) {
-    const sim::PdesEngine::Stats& st = pdes->stats();
-    Violation v;
-    v.invariant = "pdes-conservation";
-    v.paper_ref = "DESIGN §9";
-    v.at = sim.now();
-    v.subject = "pdes";
-    v.detail = "pushes=" + std::to_string(st.pushes) + " pops=" + std::to_string(st.pops) +
-               " cancels=" + std::to_string(st.cancels) +
-               " live=" + std::to_string(sim.pending_events()) +
-               " routed=" + std::to_string(st.mailbox_routed) +
-               " drained=" + std::to_string(st.mailbox_drained) +
-               " inbox=" + std::to_string(pdes->inbox_pending());
-    outcome.violations.push_back(std::move(v));
-  }
   if (recorder != nullptr) outcome.trace_json = recorder->trace.to_json();
   return outcome;
 }

@@ -62,12 +62,6 @@ struct FuzzOptions {
   std::size_t mm_shards = 2;
   std::size_t file_count = 12;
 
-  /// PDES execution shards (ClusterConfig::exec_shards). 1 — the default and
-  /// every historical seed — runs the serial event heap, so existing corpus
-  /// lines replay byte-identically; K > 1 replays the same schedule through
-  /// the conservative sharded engine (identical violations and event counts,
-  /// by the serial-equivalence guarantee).
-  std::size_t pdes_shards = 1;
   core::AllocationMode mode = core::AllocationMode::kFirm;
 
   /// Storage layout. Replication — the default and every historical seed —

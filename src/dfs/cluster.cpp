@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/recorder.hpp"
-#include "util/domain_guard.hpp"
 #include "util/logging.hpp"
 
 // GCC 12's basic_string::_M_replace emits a bogus -Wrestrict at -O2+ when the
@@ -16,19 +15,6 @@
 
 namespace sqos::dfs {
 
-namespace {
-
-/// DomainGuard lane resolver for PDES mode: RM and client domain tags carry
-/// the dense fabric NodeId as their shard index, so the network's node→lane
-/// table answers directly. Global/untagged state has no lane (exempt).
-int lane_of_tag(const void* ctx, util::DomainTag tag) {
-  if (tag.domain != util::Domain::kRm && tag.domain != util::Domain::kClient) return -1;
-  const auto* net = static_cast<const net::Network*>(ctx);
-  return net->node_lane(net::NodeId{tag.shard});
-}
-
-}  // namespace
-
 Cluster::Cluster(ClusterConfig config, FileDirectory directory)
     : config_{std::move(config)}, directory_{std::move(directory)} {}
 
@@ -36,6 +22,10 @@ Result<std::unique_ptr<Cluster>> Cluster::build(ClusterConfig config, FileDirect
   if (config.machines.empty()) return Status::invalid_argument("no machines configured");
   if (config.rms.empty()) return Status::invalid_argument("no RMs configured");
   if (config.client_count == 0) return Status::invalid_argument("no clients configured");
+  if (config.exec_shards != 1) {
+    return Status::invalid_argument("exec_shards must be 1 (the event loop is serial), got " +
+                                    std::to_string(config.exec_shards));
+  }
   for (const RmSpec& rm : config.rms) {
     if (rm.machine >= config.machines.size()) {
       return Status::invalid_argument("RM '" + rm.name + "' placed on unknown machine");
@@ -70,16 +60,6 @@ Result<std::unique_ptr<Cluster>> Cluster::build(ClusterConfig config, FileDirect
 
 Status Cluster::construct() {
   sim_ = std::make_unique<sim::Simulator>();
-  if (config_.exec_shards > 1) {
-    // The lookahead window is the fabric latency floor: LatencyModel::sample
-    // never returns less than `base`, so any cross-shard message scheduled
-    // from inside a window lands at or beyond the window end and rides the
-    // destination shard's mailbox.
-    if (config_.latency.base <= SimTime::zero()) {
-      return Status::invalid_argument("exec_shards > 1 requires a positive latency floor");
-    }
-    sim_->enable_pdes(config_.exec_shards, config_.latency.base);
-  }
   const Rng root{config_.seed};
   net_ = std::make_unique<net::Network>(
       *sim_, net::LatencyModel{config_.latency, root.fork("latency")});
@@ -178,37 +158,7 @@ Status Cluster::construct() {
     clients_.push_back(std::move(client));
   }
 
-  // PDES shard map (DESIGN.md §9, following the §8 domain map): the global
-  // services (MM shards, replication, GC, QoS) own the exclusive lane 0;
-  // machine m's RMs — ThrottleGroup and BlockDevice co-owners included —
-  // share lane m mod K so intra-machine traffic never crosses a shard;
-  // clients hash by index. Lane binding only routes *delivery* events; the
-  // commit order stays the global (time, seq) merge.
-  if (config_.exec_shards > 1) {
-    const std::size_t k = config_.exec_shards;
-    for (std::size_t s = 0; s < mm_->shard_count(); ++s) {
-      net_->set_node_lane(mm_->shard(s).node_id(), 0);
-    }
-    for (std::size_t r = 0; r < rms_.size(); ++r) {
-      net_->set_node_lane(rms_[r]->node_id(), static_cast<int>(config_.rms[r].machine % k));
-    }
-    for (std::size_t c = 0; c < clients_.size(); ++c) {
-      net_->set_node_lane(clients_[c]->node_id(), static_cast<int>(c % k));
-    }
-    // Arm the DomainGuard shadow checker's lane rule (Debug builds): a
-    // synchronous write to another worker shard's state aborts. Installed
-    // per thread; the last PDES cluster constructed on a thread wins, and
-    // serial runs never execute with a worker lane, so a stale installation
-    // is inert.
-    util::pdes_set_lane_resolver(&lane_of_tag, net_.get());
-  }
   return Status::ok();
-}
-
-int Cluster::client_lane(std::size_t i) const {
-  assert(i < clients_.size());
-  if (!sim_->pdes_enabled()) return sim::Simulator::kLaneAuto;
-  return net_->node_lane(clients_[i]->node_id());
 }
 
 void Cluster::start() {

@@ -115,11 +115,6 @@ class SQOS_DOMAIN(global) Cluster {
   [[nodiscard]] std::size_t machine_count() const { return devices_.size(); }
   [[nodiscard]] const storage::BlockDevice& machine(std::size_t i) const { return *devices_[i]; }
 
-  /// PDES shard lane owning client `i` (Simulator::kLaneAuto when PDES mode
-  /// is off). The request scheduler stamps arrival events with this so they
-  /// start on the issuing client's sub-queue.
-  [[nodiscard]] int client_lane(std::size_t i) const;
-
   /// Sum of all RM allocations right now (aggregate utilization snapshots).
   [[nodiscard]] Bandwidth total_allocated() const;
 

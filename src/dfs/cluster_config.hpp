@@ -43,12 +43,9 @@ struct ClusterConfig {
   /// 1 = the paper's single MM.
   std::size_t mm_shards = 1;
 
-  /// PDES execution shards (sim/pdes.hpp): 1 = the serial event heap; K > 1
-  /// partitions RMs (machine-aligned, with their ThrottleGroup/BlockDevice
-  /// co-owners) and clients into K conservative sub-queues with lookahead
-  /// windows derived from the network latency floor. Event commit order —
-  /// and therefore every metric, trace and table — is byte-identical to
-  /// serial at any value; only throughput changes.
+  /// Event-loop execution shards. The simulator runs one serial event queue,
+  /// so Cluster::build rejects any value other than 1; the field stays for
+  /// callers that set it explicitly.
   std::size_t exec_shards = 1;
 
   core::AllocationMode mode = core::AllocationMode::kFirm;

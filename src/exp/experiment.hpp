@@ -32,9 +32,7 @@ struct ExperimentParams {
   dfs::NegotiationModel negotiation = dfs::NegotiationModel::kEcnp;
   std::uint64_t seed = 1;
 
-  /// PDES execution shards (ClusterConfig::exec_shards): 1 = the serial
-  /// event heap; K > 1 runs the conservative sharded engine. Every metric is
-  /// byte-identical at any value — only intra-run throughput changes.
+  /// Execution shards (ClusterConfig::exec_shards). Only 1 is accepted.
   std::size_t shards = 1;
 
   /// Paper defaults; override for ablations.

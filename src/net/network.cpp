@@ -25,12 +25,6 @@ NodeId Network::register_node(std::string name) {
   return id;
 }
 
-void Network::set_node_lane(NodeId id, int lane) {
-  assert(id.value() < names_.size());
-  if (lanes_.size() < names_.size()) lanes_.resize(names_.size(), -1);
-  lanes_[id.value()] = lane;
-}
-
 std::uint64_t Network::link_key(NodeId a, NodeId b) {
   const std::uint64_t lo = std::min(a.value(), b.value());
   const std::uint64_t hi = std::max(a.value(), b.value());

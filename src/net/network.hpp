@@ -54,20 +54,6 @@ class SQOS_DOMAIN(global) Network {
   /// Register an endpoint; `name` is for diagnostics only.
   SQOS_SETUP [[nodiscard]] NodeId register_node(std::string name);
 
-  /// Bind an endpoint to a PDES shard lane: deliveries to this node are
-  /// scheduled on that shard's sub-queue (and mailbox-routed across the
-  /// lookahead barrier when the sender executes on another shard). Unbound
-  /// nodes — and every node when PDES mode is off — fall back to
-  /// Simulator::kLaneAuto.
-  SQOS_SETUP void set_node_lane(NodeId id, int lane);
-
-  /// The node's shard lane, or -1 when unbound. Also the DomainGuard lane
-  /// resolver's backing table (the dense NodeId doubles as the shard index
-  /// in RM and client domain tags).
-  [[nodiscard]] int node_lane(NodeId id) const {
-    return id.value() < lanes_.size() ? lanes_[id.value()] : -1;
-  }
-
   /// Send a control message. `on_deliver` runs at the receiver after the
   /// sampled latency; it typically captures the typed payload and calls the
   /// receiving component's handler. Messages on a partitioned link are
@@ -90,12 +76,7 @@ class SQOS_DOMAIN(global) Network {
     }
     received_log_.push_back(LogRecord{to.value(), static_cast<std::uint32_t>(kind),
                                       static_cast<std::uint64_t>(size.count())});
-    const SimTime latency = latency_.sample(size);
-    // Delivery executes on the receiver's shard: the latency floor
-    // (latency >= LatencyModel base = the PDES lookahead) guarantees the
-    // event lands at or beyond the window end, so cross-shard sends are
-    // always mailbox-routable.
-    sim_.schedule_after(latency, std::move(on_deliver), node_lane(to));
+    sim_.schedule_after(latency_.sample(size), std::move(on_deliver));
   }
 
   /// Fault injection: cut or restore the (bidirectional) link between two
@@ -143,7 +124,6 @@ class SQOS_DOMAIN(global) Network {
   sim::Simulator& sim_;
   LatencyModel latency_;
   TrafficStats stats_;
-  std::vector<std::int32_t> lanes_;  // node -> PDES shard lane (-1 unbound)
   std::vector<std::string> names_;
   mutable std::vector<TrafficStats> sent_;
   mutable std::vector<TrafficStats> received_;

@@ -1,10 +1,26 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <functional>
 
 namespace sqos::sim {
+
+std::uint32_t EventQueue::Bitmap::next_from(std::uint32_t from) const {
+  if (from >= kBuckets) return kBuckets;
+  std::uint32_t word = from >> 6;
+  std::uint64_t bits = words[word] & (~std::uint64_t{0} << (from & 63));
+  for (;;) {
+    if (bits != 0) return (word << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
+    if (++word == words.size()) return kBuckets;
+    bits = words[word];
+  }
+}
+
+EventQueue::EventQueue() {
+  for (auto& level : heads_) level.fill(kNil);
+}
 
 EventId EventQueue::push(SimTime t, EventFn fn) {
   std::uint32_t index = 0;
@@ -12,60 +28,181 @@ EventId EventQueue::push(SimTime t, EventFn fn) {
     index = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    if ((slot_count_ >> kChunkBits) == chunks_.size()) {
+      chunks_.push_back(std::make_unique<Slot[]>(std::size_t{1} << kChunkBits));
+    }
+    index = slot_count_++;
   }
-  Slot& slot = slots_[index];
-  slot.fn = std::move(fn);
-  slot.live = true;
+  Slot& s = slot(index);
+  s.fn = std::move(fn);
+  s.time = t;
+  s.seq = next_seq_++;
+  s.live = true;
 
-  HeapEntry entry;
-  entry.time = t;
-  entry.seq = next_seq_++;
-  entry.slot = index;
-  entry.gen = slot.gen;
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  const Entry entry{t, s.seq, index, s.gen};
+  const std::uint64_t tick = tick_of(t);
+  if (live_ == 0 && tick > cursor_ && tick - cursor_ < kBuckets && wheel_empty()) {
+    // A queue that drains to empty re-anchors at its next near event, so
+    // it does not pay a bucket round trip per event while nearly idle.
+    cursor_ = tick;
+  }
+  if (tick <= cursor_) {
+    active_.push_back(entry);
+    std::push_heap(active_.begin(), active_.end(), std::greater<>{});
+  } else {
+    // An idle active heap means next_time() answers from far_min_.
+    if (active_.empty() && (live_ == 0 || far_min_ > entry)) far_min_ = entry;
+    file(index, tick);
+  }
   ++live_;
-  return encode(index, slot.gen);
+  return encode(index, entry.gen);
 }
 
-void EventQueue::release_slot(std::uint32_t index) {
-  Slot& slot = slots_[index];
-  slot.fn.reset();
-  slot.live = false;
-  ++slot.gen;  // orphans every outstanding id and heap record for this slot
-  if (slot.gen == 0) ++slot.gen;  // generation 0 is reserved for "never issued"
-  free_slots_.push_back(index);
-}
-
-void EventQueue::drop_dead_top() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    const Slot& slot = slots_[top.slot];
-    if (slot.live && slot.gen == top.gen) return;
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
+bool EventQueue::wheel_empty() const {
+  for (const Bitmap& level : occupied_) {
+    for (const std::uint64_t word : level.words) {
+      if (word != 0) return false;
+    }
   }
+  return true;
+}
+
+EventQueue::Position EventQueue::position_of(std::uint64_t tick) const {
+  // The highest tick bit that differs from the cursor picks the level: a
+  // bucket at level L spans 2^(8L) ticks, all sharing the cursor's higher
+  // bits, so entries never alias across laps of the wheel.
+  const auto width = static_cast<unsigned>(std::bit_width(tick ^ cursor_));
+  const unsigned level = width == 0 ? 0 : std::min((width - 1) / kLevelBits, kLevels);
+  if (level == kLevels) return Position{kLevels, 0};
+  return Position{level,
+                  static_cast<std::uint32_t>(tick >> (level * kLevelBits)) & (kBuckets - 1)};
+}
+
+void EventQueue::file(std::uint32_t index, std::uint64_t tick) {
+  const Position p = position_of(tick);
+  Slot& s = slot(index);
+  if (p.level == kLevels) {
+    s.linked = false;
+    overflow_.push_back(Entry{s.time, s.seq, index, s.gen});
+    std::push_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
+    return;
+  }
+  s.next = heads_[p.level][p.bucket];
+  s.linked = true;
+  heads_[p.level][p.bucket] = index;
+  occupied_[p.level].set(p.bucket);
+}
+
+bool EventQueue::next_wheel_tick() {
+  unsigned level = 0;
+  while (level < kLevels) {
+    const unsigned shift = level * kLevelBits;
+    // Above level 0 the cursor's own bucket is always empty (ticks in the
+    // cursor's range at that level are filed lower down), so the scan
+    // starts one past it.
+    const auto own = static_cast<std::uint32_t>(cursor_ >> shift) & (kBuckets - 1);
+    const std::uint32_t b = occupied_[level].next_from(level == 0 ? own : own + 1);
+    if (b == kBuckets) {
+      ++level;
+      continue;
+    }
+    const std::uint64_t span = (std::uint64_t{1} << (shift + kLevelBits)) - 1;
+    cursor_ = (cursor_ & ~span) | (std::uint64_t{b} << shift);
+    if (level == 0) return true;
+    drain_bucket(level, b);  // cascade one level down, then rescan
+    level = 0;
+  }
+  return false;
+}
+
+void EventQueue::drain_bucket(unsigned level, std::uint32_t b) {
+  std::uint32_t index = heads_[level][b];
+  heads_[level][b] = kNil;
+  occupied_[level].clear(b);
+  while (index != kNil) {
+    Slot& s = slot(index);
+    const std::uint32_t next = s.next;
+    if (!s.live) {
+      s.linked = false;  // cancelled while linked: free the slot now
+      free_slots_.push_back(index);
+    } else if (level > 0) {
+      file(index, tick_of(s.time));
+    } else {
+      s.linked = false;
+      active_.push_back(Entry{s.time, s.seq, index, s.gen});
+    }
+    index = next;
+  }
+  if (level == 0) std::make_heap(active_.begin(), active_.end(), std::greater<>{});
+}
+
+bool EventQueue::refill_from_overflow() {
+  constexpr unsigned kEpochBits = kLevelBits * kLevels;
+  bool filed = false;
+  std::uint64_t epoch = 0;
+  while (!overflow_.empty()) {
+    const Entry top = overflow_.front();
+    const std::uint64_t tick = tick_of(top.time);
+    if (filed && (tick >> kEpochBits) != epoch) break;
+    std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
+    overflow_.pop_back();
+    if (!is_live(top)) continue;  // cancelled; its slot is already free
+    if (!filed) {
+      epoch = tick >> kEpochBits;
+      cursor_ = epoch << kEpochBits;
+      filed = true;
+    }
+    file(top.slot, tick);
+  }
+  return filed;
+}
+
+void EventQueue::advance() {
+  assert(active_.empty() && live_ > 0);
+  while (active_.empty()) {
+    if (next_wheel_tick()) {
+      drain_bucket(0, static_cast<std::uint32_t>(cursor_) & (kBuckets - 1));
+    } else if (!refill_from_overflow()) {
+      assert(false && "live events must sit in the wheel or the overflow heap");
+      return;
+    }
+  }
+}
+
+void EventQueue::settle() {
+  while (!active_.empty() && !is_live(active_.front())) {
+    std::pop_heap(active_.begin(), active_.end(), std::greater<>{});
+    active_.pop_back();
+  }
+  if (active_.empty() && live_ > 0) advance();
+}
+
+void EventQueue::retire(std::uint32_t index) {
+  Slot& s = slot(index);
+  s.fn.reset();
+  s.live = false;
+  ++s.gen;  // orphans every outstanding id and heap record for this slot
+  if (s.gen == 0) ++s.gen;  // generation 0 is reserved for "never issued"
+  if (!s.linked) free_slots_.push_back(index);
 }
 
 bool EventQueue::pop(Event& out) {
-  // drop_dead_top() keeps the front live after every mutation, but stay
-  // defensive against a first call on an empty queue.
-  if (heap_.empty()) return false;
-  const HeapEntry top = heap_.front();
-  Slot& slot = slots_[top.slot];
-  assert(slot.live && slot.gen == top.gen && "heap front must be live");
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  heap_.pop_back();
-
+  if (active_.empty()) {
+    if (live_ == 0) return false;
+    advance();  // everything pending was pushed into an idle queue
+  }
+  const Entry top = active_.front();
+  std::pop_heap(active_.begin(), active_.end(), std::greater<>{});
+  active_.pop_back();
+  Slot& s = slot(top.slot);
+  assert(s.live && s.gen == top.gen && "active front must be live");
   out.time = top.time;
   out.seq = top.seq;
   out.id = encode(top.slot, top.gen);
-  out.fn = std::move(slot.fn);
-  release_slot(top.slot);
+  out.fn = std::move(s.fn);
+  retire(top.slot);
   --live_;
-  drop_dead_top();
+  settle();
   return true;
 }
 
@@ -73,12 +210,29 @@ bool EventQueue::cancel(EventId id) {
   const std::uint64_t raw = to_underlying(id);
   const auto index = static_cast<std::uint32_t>(raw & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(raw >> 32);
-  if (index >= slots_.size()) return false;
-  Slot& slot = slots_[index];
-  if (!slot.live || slot.gen != gen) return false;
-  release_slot(index);
+  if (index >= slot_count_) return false;
+  Slot& s = slot(index);
+  if (!s.live || s.gen != gen) return false;
+  if (s.linked) {
+    // Buckets are singly linked, so only a head unlinks in O(1) — the usual
+    // case for a timeout cancelled soon after it was armed.
+    const Position p = position_of(tick_of(s.time));
+    std::uint32_t& head = heads_[p.level][p.bucket];
+    if (head == index) {
+      head = s.next;
+      if (head == kNil) occupied_[p.level].clear(p.bucket);
+      s.linked = false;
+    }
+  }
+  const bool idle = active_.empty();
+  const bool was_far_min = idle && far_min_.slot == index && far_min_.gen == gen;
+  retire(index);
   --live_;
-  drop_dead_top();
+  if (!idle) {
+    settle();
+  } else if (was_far_min && live_ > 0) {
+    advance();  // far_min_ is gone; materialize the next earliest tick
+  }
   return true;
 }
 

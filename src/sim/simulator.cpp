@@ -3,53 +3,22 @@
 #include <cassert>
 #include <utility>
 
-#include "util/domain_guard.hpp"
-
 namespace sqos::sim {
 
-EventId Simulator::schedule_at(SimTime t, EventFn fn, int lane) {
+EventId Simulator::schedule_at(SimTime t, EventFn fn) {
   assert(t >= now_ && "cannot schedule into the past");
   assert(fn && "scheduled callback must be callable");
-  if (pdes_) return pdes_->push(t, std::move(fn), lane);
   return queue_.push(t, std::move(fn));
 }
 
-EventId Simulator::schedule_after(SimTime delay, EventFn fn, int lane) {
+EventId Simulator::schedule_after(SimTime delay, EventFn fn) {
   assert(!delay.is_negative());
-  return schedule_at(now_ + delay, std::move(fn), lane);
+  return schedule_at(now_ + delay, std::move(fn));
 }
 
-bool Simulator::cancel(EventId id) {
-  return pdes_ ? pdes_->cancel(id) : queue_.cancel(id);
-}
-
-void Simulator::enable_pdes(std::size_t shards, SimTime lookahead) {
-  assert(!pdes_ && "PDES mode already enabled");
-  assert(queue_.empty() && "enable_pdes must precede any scheduling");
-  assert(executed_ == 0 && "enable_pdes must precede the first event");
-  pdes_ = std::make_unique<PdesEngine>(shards, lookahead);
-}
+bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
 bool Simulator::step() {
-  if (pdes_) {
-    Event e;
-    int lane = 0;
-    if (!pdes_->pop(e, lane)) return false;
-    assert(e.time >= now_);
-    now_ = e.time;
-    ++executed_;
-    // Execution context: mailbox routing keys off the executing shard, and
-    // the DomainGuard shadow checker (Debug builds) flags any synchronous
-    // cross-shard write that did not ride a mailbox. Both calls compile to
-    // nothing when their feature is off.
-    pdes_->begin_event(lane);
-    util::pdes_set_exec_lane(lane);
-    e.fn();
-    util::pdes_set_exec_lane(-1);
-    pdes_->end_event();
-    if (post_event_) post_event_();
-    return true;
-  }
   Event e;
   if (!queue_.pop(e)) return false;
   assert(e.time >= now_);
@@ -69,7 +38,7 @@ void Simulator::run() {
 void Simulator::run_until(SimTime deadline) {
   assert(deadline >= now_);
   stopped_ = false;
-  while (!stopped_ && next_time_internal() <= deadline) {
+  while (!stopped_ && queue_.next_time() <= deadline) {
     if (!step()) break;
   }
   if (!stopped_ && now_ < deadline) now_ = deadline;

@@ -6,22 +6,15 @@
 // experiment configurations as separate processes, not from threading the
 // kernel.)
 //
-// The optional PDES mode (enable_pdes) swaps the single pending-event heap
-// for the conservative sharded engine in sim/pdes.hpp: per-shard sub-queues,
-// lookahead windows and barrier-drained mailboxes. The engine commits events
-// in globally merged (time, seq) order — identical to the serial heap's pop
-// order by construction — so everything downstream (traces, metrics, RNG
-// draw order) is byte-for-byte unchanged at any shard count. Callers pass an
-// optional shard lane on schedule_*; the default inherits the executing
-// shard, which is correct for all intra-shard work.
+// Pending events live in one EventQueue — a hierarchical timing wheel whose
+// pop order is exactly (time, seq), so two events at the same instant fire
+// in scheduling order (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "sim/event_queue.hpp"
 #include "sim/inline_fn.hpp"
-#include "sim/pdes.hpp"
 #include "util/sim_time.hpp"
 #include "util/domain.hpp"
 
@@ -29,11 +22,6 @@ namespace sqos::sim {
 
 class SQOS_DOMAIN(global) Simulator {
  public:
-  /// Lane value for schedule_at/schedule_after meaning "resolve
-  /// automatically" (the executing shard inside an event, shard 0 outside).
-  /// Ignored entirely when PDES mode is off.
-  static constexpr int kLaneAuto = PdesEngine::kLaneAuto;
-
   Simulator() = default;
 
   Simulator(const Simulator&) = delete;
@@ -42,13 +30,11 @@ class SQOS_DOMAIN(global) Simulator {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedule `fn` at absolute time `t` (must not be in the past). `lane` is
-  /// the owning shard under PDES mode (kLaneAuto inherits the executing
-  /// shard); without PDES it is ignored.
-  SQOS_EXCHANGE EventId schedule_at(SimTime t, EventFn fn, int lane = kLaneAuto);
+  /// Schedule `fn` at absolute time `t` (must not be in the past).
+  SQOS_EXCHANGE EventId schedule_at(SimTime t, EventFn fn);
 
   /// Schedule `fn` after a non-negative delay.
-  SQOS_EXCHANGE EventId schedule_after(SimTime delay, EventFn fn, int lane = kLaneAuto);
+  SQOS_EXCHANGE EventId schedule_after(SimTime delay, EventFn fn);
 
   /// Cancel a pending event. Returns false if it already fired or was
   /// cancelled before.
@@ -68,31 +54,13 @@ class SQOS_DOMAIN(global) Simulator {
   /// Request that run()/run_until() return after the current event.
   void stop() { stopped_ = true; }
 
-  [[nodiscard]] std::size_t pending_events() const {
-    return pdes_ ? pdes_->size() : queue_.size();
-  }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
   /// Earliest pending live event time; SimTime::max() when the queue is
   /// empty. Never earlier than now() — the audit hook checks exactly that.
-  /// Under PDES the engine may relocate events between sub-queue tiers to
-  /// answer exactly (never executing anything), so the value matches the
-  /// serial queue's peek bit-for-bit.
-  [[nodiscard]] SimTime next_event_time() const {
-    return pdes_ ? pdes_->next_time() : queue_.peek_next_time();
-  }
-
-  /// Switch to conservative sharded PDES execution (sim/pdes.hpp). Must be
-  /// called before any event is scheduled; `lookahead` is the window width
-  /// (the cluster's network latency floor). No-op path when never called:
-  /// the serial EventQueue remains untouched.
-  void enable_pdes(std::size_t shards, SimTime lookahead);
-
-  [[nodiscard]] bool pdes_enabled() const { return pdes_ != nullptr; }
-
-  /// The PDES engine (null in serial mode) — stats and window introspection
-  /// for benches, the chaos fuzzer's conservation invariant, and tests.
-  [[nodiscard]] const PdesEngine* pdes() const { return pdes_.get(); }
+  /// O(1) and const.
+  [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
 
   /// Observation hook run after every executed event (same simulated time as
   /// the event, with its effects applied). One hook at a time; pass {} to
@@ -103,13 +71,7 @@ class SQOS_DOMAIN(global) Simulator {
   void set_post_event_hook(PostEventHook hook) { post_event_ = std::move(hook); }
 
  private:
-  /// Earliest pending time for the run_until loop (engine- or heap-backed).
-  [[nodiscard]] SimTime next_time_internal() {
-    return pdes_ ? pdes_->next_time() : queue_.next_time();
-  }
-
   EventQueue queue_;
-  std::unique_ptr<PdesEngine> pdes_;  // null = serial mode
   SimTime now_ = SimTime::zero();
   std::uint64_t executed_ = 0;
   bool stopped_ = false;

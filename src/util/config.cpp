@@ -1,5 +1,6 @@
 #include "util/config.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -76,6 +77,15 @@ Bandwidth Config::get_bandwidth(std::string_view key, Bandwidth fallback) const 
   auto parsed = Bandwidth::parse(it->second);
   if (!parsed.is_ok()) die(key, it->second, "bandwidth");
   return parsed.value();
+}
+
+Status Config::require_known(const std::vector<std::string_view>& known) const {
+  for (const auto& [key, _] : values_) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return Status::invalid_argument("unknown key '" + key + "'");
+    }
+  }
+  return Status::ok();
 }
 
 std::vector<std::string> Config::keys() const {

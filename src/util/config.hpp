@@ -40,6 +40,10 @@ class Config {
   /// All keys, sorted (for echoing the effective configuration).
   [[nodiscard]] std::vector<std::string> keys() const;
 
+  /// invalid_argument naming the first key (in sorted order) that is not in
+  /// `known`, so a mistyped key fails instead of running the default.
+  [[nodiscard]] Status require_known(const std::vector<std::string_view>& known) const;
+
  private:
   std::map<std::string, std::string, std::less<>> values_;
 };

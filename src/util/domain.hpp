@@ -1,11 +1,10 @@
 // Ownership-domain annotation vocabulary (docs/STATIC_ANALYSIS.md §domains).
 //
-// ROADMAP item 2 (conservative PDES) partitions the simulation into shards:
-// per-RM state, per-client state, and global services (MM, replication
-// agent, QoS controller, the kernel itself). Its single biggest risk is an
-// event handler silently touching state owned by another shard. These
-// macros make shard ownership a *declared, machine-checked* property long
-// before the parallel rewrite starts:
+// The simulation's state divides into ownership shards: per-RM state,
+// per-client state, and global services (MM, replication agent, QoS
+// controller, the kernel itself). The risk these macros guard against is an
+// event handler silently touching state owned by another shard; they make
+// shard ownership a *declared, machine-checked* property:
 //
 //   SQOS_DOMAIN(rm)      class is per-RM shard state
 //   SQOS_DOMAIN(client)  class is per-client shard state

@@ -52,15 +52,6 @@ void report(DomainTag object, DomainTag active, const char* where) {
   g_handler(DomainViolation{object, active, where});
 }
 
-// PDES execution-lane shadow. thread_local for the same reason as the scope
-// stack: the parallel experiment runner drives one simulation per worker.
-struct PdesContext {
-  int exec_lane = -1;                 // -1 = not inside a PDES event
-  LaneResolver resolver = nullptr;    // null = no PDES cluster on this thread
-  const void* ctx = nullptr;
-};
-thread_local PdesContext g_pdes;
-
 }  // namespace
 
 DomainGuard::DomainGuard(DomainTag tag, bool exchange) {
@@ -80,20 +71,6 @@ DomainGuard::~DomainGuard() {
 }
 
 void domain_assert_write(DomainTag object_tag, const char* where) {
-  // PDES lane rule, checked first and regardless of exchange scopes: while
-  // a worker-shard event executes, writes to state mapped to a *different*
-  // worker shard are un-mailboxed cross-shard calls — a legitimate hop would
-  // have been delivered in the object's own lane. Lane 0 (the exclusive
-  // global lane) and unmapped tags are exempt.
-  if (g_pdes.exec_lane > 0 && g_pdes.resolver != nullptr) {
-    const int object_lane = g_pdes.resolver(g_pdes.ctx, object_tag);
-    if (object_lane >= 0 && object_lane != g_pdes.exec_lane) {
-      const DomainTag active =
-          g_stack.depth == 0 ? DomainTag{} : g_stack.scopes[g_stack.depth - 1].tag;
-      report(object_tag, active, where);
-      return;
-    }
-  }
   if (g_stack.depth == 0) return;  // serial setup or a unit test poking directly
   const Scope& top = g_stack.scopes[g_stack.depth - 1];
   if (top.exchange || top.tag == object_tag) return;
@@ -114,15 +91,6 @@ ViolationHandler set_domain_violation_handler(ViolationHandler handler) {
   ViolationHandler previous = g_handler;
   g_handler = handler != nullptr ? handler : &default_handler;
   return previous;
-}
-
-void pdes_set_exec_lane(int lane) { g_pdes.exec_lane = lane; }
-
-int pdes_exec_lane() { return g_pdes.exec_lane; }
-
-void pdes_set_lane_resolver(LaneResolver resolver, const void* ctx) {
-  g_pdes.resolver = resolver;
-  g_pdes.ctx = ctx;
 }
 
 #endif  // SQOS_DOMAIN_CHECKS

@@ -64,12 +64,6 @@ struct DomainViolation {
 #endif
 }
 
-/// Maps a DomainTag to its PDES execution lane, or -1 when the tag has no
-/// lane (global services, untagged state). Installed per thread by the
-/// cluster when PDES mode is on; `ctx` is the installer's context (the
-/// network's node→lane table).
-using LaneResolver = int (*)(const void* ctx, DomainTag tag);
-
 #if defined(SQOS_DOMAIN_CHECKS)
 
 /// RAII scope: "the code below executes on behalf of shard `tag`". A plain
@@ -108,19 +102,6 @@ void domain_assert_write(DomainTag object_tag, const char* where);
 using ViolationHandler = void (*)(const DomainViolation&);
 ViolationHandler set_domain_violation_handler(ViolationHandler handler);
 
-/// PDES shard context, maintained by Simulator::step around each event.
-/// While a worker-shard event (lane > 0) executes and a resolver is
-/// installed, domain_assert_write additionally rejects writes to state owned
-/// by a *different* worker shard — even inside an exchange scope. Under PDES
-/// the legitimacy of a cross-shard hop comes from mailbox delivery (which
-/// flips the executing lane before the handler runs), so a synchronous
-/// cross-shard write is exactly the bug the mailboxes exist to prevent.
-/// Lane 0 (the exclusive global lane: MM, replication agent, GC, QoS
-/// controller) is exempt, as is any tag the resolver cannot map.
-void pdes_set_exec_lane(int lane);
-[[nodiscard]] int pdes_exec_lane();
-void pdes_set_lane_resolver(LaneResolver resolver, const void* ctx);
-
 #define SQOS_DOMAIN_CAT2(a, b) a##b
 #define SQOS_DOMAIN_CAT(a, b) SQOS_DOMAIN_CAT2(a, b)
 
@@ -152,10 +133,6 @@ inline void domain_assert_write(DomainTag, const char*) {}
 /// here (there is nothing to report without the checker).
 using ViolationHandler = void (*)(const DomainViolation&);
 inline ViolationHandler set_domain_violation_handler(ViolationHandler) { return nullptr; }
-
-inline void pdes_set_exec_lane(int) {}
-[[nodiscard]] inline int pdes_exec_lane() { return -1; }
-inline void pdes_set_lane_resolver(LaneResolver, const void*) {}
 
 #define SQOS_DOMAIN_SCOPE(tag) ((void)0)
 #define SQOS_EXCHANGE_SCOPE(tag) ((void)0)

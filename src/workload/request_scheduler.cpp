@@ -8,22 +8,16 @@ void RequestScheduler::schedule(SimTime start) {
   for (const AccessEvent& event : pattern_) {
     const std::size_t client_index = user_map_ ? user_map_(event.user) % clients
                                                : event.user % clients;
-    // Arrival events start on the issuing client's PDES shard lane (a no-op
-    // hint under the serial queue), so the whole request chain begins on the
-    // sub-queue that owns the client.
-    sim.schedule_at(
-        start + event.time,
-        [this, client_index, file = event.file] {
-          ++dispatched_;
-          cluster_.client(client_index).stream_file(file, [this](const Status& s) {
-            if (s.is_ok()) {
-              ++completed_;
-            } else {
-              ++failed_;
-            }
-          });
-        },
-        cluster_.client_lane(client_index));
+    sim.schedule_at(start + event.time, [this, client_index, file = event.file] {
+      ++dispatched_;
+      cluster_.client(client_index).stream_file(file, [this](const Status& s) {
+        if (s.is_ok()) {
+          ++completed_;
+        } else {
+          ++failed_;
+        }
+      });
+    });
   }
 }
 

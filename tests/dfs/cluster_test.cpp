@@ -25,6 +25,18 @@ TEST(ClusterBuild, RejectsBadMachineIndex) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ClusterBuild, RejectsAnyExecShardCountButOne) {
+  ClusterConfig cfg = sqos::testing::small_cluster_config();
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+    cfg.exec_shards = shards;
+    const auto r = Cluster::build(cfg, sqos::testing::tiny_catalog());
+    ASSERT_FALSE(r.is_ok()) << "exec_shards=" << shards;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  cfg.exec_shards = 1;
+  EXPECT_TRUE(Cluster::build(cfg, sqos::testing::tiny_catalog()).is_ok());
+}
+
 TEST(ClusterBuild, RejectsZeroBandwidthRm) {
   ClusterConfig cfg = sqos::testing::small_cluster_config();
   cfg.rms[1].bandwidth = Bandwidth::zero();

@@ -2,9 +2,9 @@
 // (ROADMAP item 4). The two layouts must agree on the workload outcome while
 // the EC run stores exactly half the bytes (6 * ceil(size/4) vs 3 * size per
 // file), the rebalance agent must drain an RM to zero shards without losing
-// a single one, and every EC run must be byte-identical across repeats,
-// jobs=1 vs jobs=2, and pdes=1 vs pdes=4 — the same determinism bar the
-// replication goldens already enforce.
+// a single one, and every EC run must be byte-identical across repeats and
+// jobs=1 vs jobs=2 — the same determinism bar the replication goldens
+// already enforce.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -84,16 +84,12 @@ TEST(EcVsReplication, SameSeedHalvesStorageAndAgreesOnWorkload) {
               2.0, 0.01);
 }
 
-TEST(EcVsReplication, EcRunsAreByteIdenticalAcrossRepeatsJobsAndPdes) {
+TEST(EcVsReplication, EcRunsAreByteIdenticalAcrossRepeatsAndJobs) {
   exp::ExperimentParams ec = small_params();
   ec.layout = storage::LayoutPolicy::erasure(4, 2);
 
   const std::string once = fingerprint(exp::run_experiment(ec));
   EXPECT_EQ(once, fingerprint(exp::run_experiment(ec)));  // repeats
-
-  exp::ExperimentParams pdes = ec;
-  pdes.shards = 4;
-  EXPECT_EQ(once, fingerprint(exp::run_experiment(pdes)));  // pdes=1 vs 4
 
   const std::string jobs1 = fingerprint(exp::run_averaged(ec, 2, 1));
   const std::string jobs2 = fingerprint(exp::run_averaged(ec, 2, 2));

@@ -3,8 +3,11 @@
 // every step. These catch state-machine bugs that example-based tests miss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "core/history_window.hpp"
 #include "sim/event_queue.hpp"
@@ -48,7 +51,27 @@ TEST(ReferenceModel, FlowTableMatchesMapModel) {
 
 // ------------------------------------------------------------ EventQueue --
 
-TEST(ReferenceModel, EventQueueMatchesMultimapModel) {
+/// One random operation mix for the queue-vs-multimap comparison.
+struct QueueInput {
+  const char* name;
+  std::uint64_t rng_seed;
+  int steps;
+  /// Push times: uniform over [0, 1000) us when false. When true, each push
+  /// lands at the last popped time plus a log-uniform offset of up to 2^40
+  /// us, so entries reach every wheel level and the overflow heap; the mix
+  /// adds same-instant pushes, pushes below the last popped time, cancels
+  /// aimed at recent (mostly still bucketed) ids, a next_time() peek after
+  /// every operation — the run_until pattern — and a full drain every 4,096
+  /// steps, so far-future pushes also land in an idle queue.
+  bool wheel = false;
+};
+
+void PrintTo(const QueueInput& input, std::ostream* os) { *os << input.name; }
+
+class EventQueueReference : public ::testing::TestWithParam<QueueInput> {};
+
+TEST_P(EventQueueReference, MatchesMultimapModel) {
+  const QueueInput& input = GetParam();
   sim::EventQueue queue;
   // Reference: ordered by (time, seq); cancellation removes by the id the
   // queue issued. Ids of popped/cancelled events must go stale (the queue
@@ -58,13 +81,48 @@ TEST(ReferenceModel, EventQueueMatchesMultimapModel) {
                                         std::uint64_t>::iterator>
       by_id;
   std::vector<std::uint64_t> issued;  // every id ever returned, live or stale
-  Rng rng{7};
+  Rng rng{input.rng_seed};
   std::uint64_t seq = 0;  // mirrors the queue's internal push counter
+  constexpr std::int64_t kSpanBits = 40;
+  std::int64_t last_popped = 0;
+  std::int64_t last_pushed = 0;
 
-  for (int step = 0; step < 30'000; ++step) {
+  const auto push_time = [&]() -> std::int64_t {
+    if (!input.wheel) return static_cast<std::int64_t>(rng.next_below(1000));
+    const double kind = rng.next_double();
+    if (kind < 0.15) return last_pushed;  // same instant as the previous push
+    if (kind < 0.25) {                    // below the last popped time
+      return static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(last_popped) + 1));
+    }
+    const auto bits = static_cast<std::int64_t>(rng.next_below(kSpanBits + 1));
+    const std::int64_t offset =
+        bits == 0 ? 0 : static_cast<std::int64_t>(rng.next_below(std::uint64_t{1} << bits));
+    return std::min(last_popped + offset, (std::int64_t{1} << kSpanBits) - 1);
+  };
+  const auto check_peek = [&] {
+    const SimTime expected =
+        model.empty() ? SimTime::max() : SimTime::micros(model.begin()->first.first);
+    ASSERT_EQ(queue.next_time(), expected);
+  };
+  // Pop everything left; the order must match the model to the last event.
+  const auto drain = [&] {
+    sim::Event out;
+    while (queue.pop(out)) {
+      ASSERT_FALSE(model.empty());
+      ASSERT_EQ(out.time.as_micros(), model.begin()->first.first);
+      ASSERT_EQ(out.seq, model.begin()->first.second);
+      last_popped = out.time.as_micros();
+      by_id.erase(model.begin()->second);
+      model.erase(model.begin());
+    }
+    ASSERT_TRUE(model.empty());
+  };
+
+  for (int step = 0; step < input.steps; ++step) {
     const double op = rng.next_double();
     if (op < 0.5 || issued.empty()) {  // push
-      const std::int64_t t = static_cast<std::int64_t>(rng.next_below(1000));
+      const std::int64_t t = push_time();
+      last_pushed = t;
       const sim::EventId id = queue.push(SimTime::micros(t), [] {});
       const std::uint64_t raw = sim::to_underlying(id);
       ASSERT_EQ(by_id.count(raw), 0u) << "queue reissued a live id";
@@ -77,14 +135,19 @@ TEST(ReferenceModel, EventQueueMatchesMultimapModel) {
       ASSERT_EQ(got, !model.empty());
       if (got) {
         const auto expected = model.begin();
-        ASSERT_EQ(out.time.as_micros(), expected->first.first);
-        ASSERT_EQ(out.seq, expected->first.second);
+        ASSERT_EQ(out.time.as_micros(), expected->first.first) << "step " << step;
+        ASSERT_EQ(out.seq, expected->first.second) << "step " << step;
         ASSERT_EQ(sim::to_underlying(out.id), expected->second);
+        last_popped = out.time.as_micros();
         by_id.erase(expected->second);
         model.erase(expected);
       }
     } else {  // cancel a random previously issued (possibly stale) id
-      const std::uint64_t target = issued[rng.next_below(issued.size())];
+      const std::size_t recent = std::min<std::size_t>(issued.size(), 64);
+      const std::uint64_t target =
+          input.wheel && rng.next_double() < 0.5
+              ? issued[issued.size() - 1 - rng.next_below(recent)]
+              : issued[rng.next_below(issued.size())];
       const auto it = by_id.find(target);
       const bool cancelled = queue.cancel(sim::EventId{target});
       ASSERT_EQ(cancelled, it != by_id.end());
@@ -94,8 +157,19 @@ TEST(ReferenceModel, EventQueueMatchesMultimapModel) {
       }
     }
     ASSERT_EQ(queue.size(), model.size());
+    if (input.wheel) check_peek();
+    if (input.wheel && step % 4096 == 4095) drain();
   }
+  drain();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, EventQueueReference,
+    ::testing::Values(QueueInput{"NarrowWindow", 7, 30'000, false},
+                      QueueInput{"WheelLevels", 11, 60'000, true}),
+    [](const ::testing::TestParamInfo<QueueInput>& param) {
+      return std::string{param.param.name};
+    });
 
 // -------------------------------------------------------- BandwidthLedger --
 

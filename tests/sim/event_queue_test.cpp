@@ -146,6 +146,24 @@ TEST(EventQueue, ManyEventsStaySorted) {
   EXPECT_EQ(popped, 1000u);
 }
 
+TEST(EventQueue, IdleQueuePeekTracksCancelsOfItsEarliestEvent) {
+  // Far-future pushes into an empty queue wait in buckets; next_time() must
+  // still name the earliest live one after it is cancelled.
+  EventQueue q;
+  const EventId twenty = push_at(q, 20'000'000);
+  const EventId five = push_at(q, 5'000'000);
+  push_at(q, 10'000'000);
+  EXPECT_EQ(q.next_time().as_micros(), 5'000'000);
+  EXPECT_TRUE(q.cancel(five));
+  EXPECT_EQ(q.next_time().as_micros(), 10'000'000);
+  EXPECT_TRUE(q.cancel(twenty));
+  EXPECT_EQ(q.next_time().as_micros(), 10'000'000);
+  Event e;
+  ASSERT_TRUE(q.pop(e));
+  EXPECT_EQ(e.time.as_micros(), 10'000'000);
+  EXPECT_FALSE(q.pop(e));
+}
+
 TEST(EventQueue, CancelStormLeavesQueueConsistent) {
   EventQueue q;
   std::vector<EventId> ids;

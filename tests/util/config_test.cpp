@@ -74,5 +74,24 @@ TEST(Config, SetOverrides) {
   EXPECT_EQ(c.get_int("k", 0), 9);
 }
 
+TEST(Config, RequireKnownAcceptsKnownAndAbsentKeys) {
+  EXPECT_TRUE(make({}).require_known({}).is_ok());
+  EXPECT_TRUE(make({"users=64", "mode=soft"}).require_known({"mode", "seed", "users"}).is_ok());
+}
+
+TEST(Config, RequireKnownNamesTheFirstUnknownKey) {
+  const Config c = make({"users=64", "zeta=1", "layuot=ec:4,2"});
+  const Status s = c.require_known({"users", "layout"});
+  ASSERT_FALSE(s.is_ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  // Keys are checked in sorted order: "layuot" precedes "zeta".
+  EXPECT_NE(s.message().find("'layuot'"), std::string::npos) << s.to_string();
+  EXPECT_EQ(s.message().find("zeta"), std::string::npos) << s.to_string();
+}
+
+TEST(Config, RequireKnownIsCaseSensitive) {
+  EXPECT_FALSE(make({"Users=64"}).require_known({"users"}).is_ok());
+}
+
 }  // namespace
 }  // namespace sqos

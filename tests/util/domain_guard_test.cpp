@@ -78,8 +78,8 @@ TEST(DomainGuard, CrossDomainWriteReportsObjectAndActiveTags) {
 }
 
 TEST(DomainGuard, SameDomainForeignShardIsAViolation) {
-  // RM 1 writing RM 2's state is exactly the aliasing PDES must forbid —
-  // the static pass cannot see instance identity, the guard can.
+  // RM 1 writing RM 2's state is exactly the aliasing shard ownership
+  // forbids — the static pass cannot see instance identity, the guard can.
   HandlerScope h;
   SQOS_DOMAIN_SCOPE(DomainTag::rm(1));
   SQOS_DOMAIN_ASSERT_WRITE(DomainTag::rm(2));

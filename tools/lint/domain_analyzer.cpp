@@ -525,8 +525,8 @@ void collect_header_contexts(const DomainFile& f, const Tables& tables, FileScan
 }
 
 /// Argument spans of calls to exchange functions (`net_.send(...)`: the
-/// delivery closure runs at the receiver — in the PDES it becomes a
-/// cross-shard message, the sanctioned channel) and of the scheduler calls
+/// delivery closure runs at the receiver — a cross-shard message, the
+/// sanctioned channel) and of the scheduler calls
 /// (rule domain-capture looks inside these).
 void collect_call_spans(const DomainFile& f, const Tables& tables, FileScan& scan) {
   const std::string_view joined = f.joined;
@@ -678,8 +678,8 @@ void check_cross_writes(const DomainFile& f, const Tables& tables, const FileSca
 
 /// Rule domain-capture: `&var` inside a schedule_at/schedule_after argument
 /// list, where `var` is shard state of a foreign domain. The closure will
-/// run as a future event; in the PDES that event executes on this shard, so
-/// the reference is a cross-shard alias smuggled past the exchange layer.
+/// run as a future event on behalf of this shard, so the reference is a
+/// cross-shard alias smuggled past the exchange layer.
 void check_captures(const DomainFile& f, const Tables& tables, const FileScan& scan,
                     const std::map<std::string, Binding, std::less<>>& bindings,
                     std::vector<Finding>& out) {

@@ -1,10 +1,9 @@
 // sqos_domain_check — static enforcement of the shard-ownership contract.
 //
-// ROADMAP item 2 (conservative PDES) will partition the simulation into
-// shards: per-RM state, per-client state, and the global services. The
-// rewrite is safe only if today's single-threaded code already respects the
-// shard boundaries — every cross-domain touch must flow through a declared
-// exchange channel (the network send path, the scheduler API, the marked
+// The simulation's state divides into ownership shards: per-RM state,
+// per-client state, and the global services. The shard boundaries hold only
+// if every cross-domain touch flows through a declared exchange channel
+// (the network send path, the scheduler API, the marked
 // replication/controller endpoints). This pass proves that property
 // statically, the same way sqos_lint proves the determinism contract: a
 // token-level scanner (no libclang — it must build wherever CI does) over

@@ -8,13 +8,11 @@
 //   1  regression beyond tolerance (a gated metric got worse, an exact
 //      metric drifted, or a baseline metric disappeared; goal=info metrics
 //      — wall times, jobs counts, speedups — never gate and may come and go)
-//
-// meta entries are never compared: like meta.jobs, meta.shards (the PDES
-// execution-shard count) only describes how the run was executed. Both knobs
-// are exempt from cross-gating by construction — the exact cells they
-// produce are byte-identical at every value, so a baseline recorded at one
-// jobs/shards setting gates runs at any other.
 //   2  usage error / unreadable current run
+//
+// meta entries are never compared: meta.jobs only describes how the run was
+// executed, and the exact cells are byte-identical at every jobs value, so a
+// baseline recorded at one jobs setting gates runs at any other.
 //
 // Flags (defaults in brackets):
 //   --baseline=PATH            checked-in reference document (required)

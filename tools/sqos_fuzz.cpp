@@ -18,9 +18,6 @@
 //   --ops=N           [400]  operations per run
 //   --audit-every=N   [1]    audit after every Nth simulator event
 //   --rms=N --clients=N --shards=N --files=N   cluster topology
-//   --pdes-shards=N   [1]    PDES execution shards (1 = the serial event
-//                            heap every historical seed ran on; any N yields
-//                            byte-identical verdicts and repro lines)
 //   --tenants=N       [0]    split the clients into N contiguous tenants with
 //                            staggered SLOs and run the AIMD controller; 0 =
 //                            the untenanted cluster (historical behavior)
@@ -88,10 +85,6 @@ int main(int argc, char** argv) {
     }
     if (parse_u64(arg, "--shards", v)) {
       options.mm_shards = static_cast<std::size_t>(v);
-      continue;
-    }
-    if (parse_u64(arg, "--pdes-shards", v)) {
-      options.pdes_shards = static_cast<std::size_t>(v);
       continue;
     }
     if (parse_u64(arg, "--files", v)) {

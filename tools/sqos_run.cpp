@@ -17,9 +17,6 @@
 //   gc=0|1          [0]       replica garbage collection
 //   gc_idle=S       [600]     GC idle threshold, seconds
 //   shards=N        [1]       MM shards on the DHT ring
-//   pdes=N          [1]       PDES execution shards (1 = serial event heap;
-//                             any N produces byte-identical output — only
-//                             intra-run throughput changes)
 //   cache_ttl=S     [0]       client holder-cache TTL, seconds (0 = off)
 //   layout=replication|ec:k,m [replication]  storage layout; ec stripes every
 //                             file as k data + m parity shards and reads
@@ -38,6 +35,8 @@
 //                             run (load in chrome://tracing or Perfetto;
 //                             byte-identical across repeats and jobs=)
 //   metrics=0|1     [0]       print the observability-counter table
+//
+// Any other key is an error (exit 1): a mistyped key never runs a default.
 #include <cstdio>
 
 #include "exp/experiment.hpp"
@@ -56,6 +55,16 @@ int main(int argc, char** argv) {
     return 1;
   }
   const Config cfg = std::move(parsed).take();
+  if (const Status known = cfg.require_known(
+          {"users", "mode", "alpha", "beta", "gamma", "replication", "nrep", "nmaxr", "dest",
+           "bth", "gc", "gc_idle", "shards", "cache_ttl", "layout", "cnp", "files", "zipf",
+           "bitrate_median", "bitrate_max", "dur_min", "dur_max", "seeds", "seed", "jobs",
+           "monitor", "csv", "trace", "metrics"});
+      !known.is_ok()) {
+    std::fprintf(stderr, "%s\nusage: sqos_run key=value ... (see header comment)\n",
+                 known.to_string().c_str());
+    return 1;
+  }
 
   exp::ExperimentParams params;
   params.users = static_cast<std::size_t>(cfg.get_int("users", 256));
@@ -114,7 +123,6 @@ int main(int argc, char** argv) {
     cluster.holder_cache_ttl = SimTime::seconds(cache_ttl);
     params.cluster = cluster;
   }
-  params.shards = static_cast<std::size_t>(cfg.get_int("pdes", 1));
 
   const auto seeds = static_cast<std::size_t>(cfg.get_int("seeds", 1));
   const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 1));
