@@ -189,38 +189,37 @@ void Cluster::start() {
 
 void Cluster::start_resource_refresh(SimTime interval, SimTime until) {
   assert(interval > SimTime::zero());
-  for (SimTime t = sim_->now() + interval; t <= until; t += interval) {
-    sim_->schedule_at(t, [this] {
-      for (auto& rm : rms_) {
-        if (!rm->is_online()) continue;
-        const RegisterMsg msg = rm->make_register_msg();
-        for (std::size_t s = 0; s < mm_->shard_count(); ++s) {
-          MetadataManager& shard = mm_->shard(s);
-          net_->send(rm->node_id(), shard.node_id(), net::MessageKind::kResourceUpdate,
-                     msg.estimated_size(), [this, &shard, msg] {
-                       RegisterMsg scoped = msg;
-                       if (mm_->shard_count() > 1) {
-                         std::erase_if(scoped.stored_files, [this, &shard](FileId f) {
-                           return &mm_->shard_for(f) != &shard;
-                         });
-                       }
-                       shard.handle_resource_update(scoped);
-                     });
-        }
+  const sim::Periodic refreshes{sim_->now() + interval, interval};
+  sim_->schedule_series(refreshes.count_through(until), refreshes, [this](std::size_t) {
+    for (auto& rm : rms_) {
+      if (!rm->is_online()) continue;
+      const RegisterMsg msg = rm->make_register_msg();
+      for (std::size_t s = 0; s < mm_->shard_count(); ++s) {
+        MetadataManager& shard = mm_->shard(s);
+        net_->send(rm->node_id(), shard.node_id(), net::MessageKind::kResourceUpdate,
+                   msg.estimated_size(), [this, &shard, msg] {
+                     RegisterMsg scoped = msg;
+                     if (mm_->shard_count() > 1) {
+                       std::erase_if(scoped.stored_files, [this, &shard](FileId f) {
+                         return &mm_->shard_for(f) != &shard;
+                       });
+                     }
+                     shard.handle_resource_update(scoped);
+                   });
       }
-    });
-  }
+    }
+  });
 }
 
 void Cluster::start_qos_controller(SimTime until) {
   if (qos_ == nullptr) return;
   const SimTime period = config_.qos_controller.period;
   assert(period > SimTime::zero());
-  // Ticks are pre-scheduled like start_resource_refresh: the controller's
+  // Ticks are pre-planned like start_resource_refresh: the controller's
   // cadence is part of the experiment definition, not discovered at runtime.
-  for (SimTime t = sim_->now() + period; t <= until; t += period) {
-    sim_->schedule_at(t, [this] { qos_->tick(sim_->now()); });
-  }
+  const sim::Periodic ticks{sim_->now() + period, period};
+  sim_->schedule_series(ticks.count_through(until), ticks,
+                        [this](std::size_t) { qos_->tick(sim_->now()); });
 }
 
 void Cluster::fail_rm(std::size_t rm_index) {

@@ -7,9 +7,8 @@ namespace sqos::dfs {
 
 void GarbageCollector::start(SimTime until) {
   if (!cfg_.enabled) return;
-  for (SimTime t = sim_.now() + cfg_.scan_interval; t <= until; t += cfg_.scan_interval) {
-    sim_.schedule_at(t, [this] { scan_once(); });
-  }
+  const sim::Periodic scans{sim_.now() + cfg_.scan_interval, cfg_.scan_interval};
+  sim_.schedule_series(scans.count_through(until), scans, [this](std::size_t) { scan_once(); });
 }
 
 void GarbageCollector::scan_once() {

@@ -7,9 +7,10 @@
 //
 // send() is on the hot path of every negotiation round: the delivery closure
 // is move-only (it rides the kernel's InlineFn small-buffer storage, so a
-// typical payload capture costs no allocation), per-node stats live in flat
-// vectors indexed by NodeId, and the partition check short-circuits when no
-// link is down (the overwhelmingly common case).
+// payload capture of up to 48 bytes costs no allocation), per-node stats
+// live in flat vectors indexed by NodeId and are updated in batches, and the
+// partition check short-circuits when no link is down (the overwhelmingly
+// common case).
 #pragma once
 
 #include <array>
@@ -45,6 +46,10 @@ struct TrafficStats {
 
 class SQOS_DOMAIN(global) Network {
  public:
+  /// Sends whose per-node accounting is logged before it is folded into the
+  /// per-node tables (32 B of log per send: 128 KiB at most).
+  static constexpr std::size_t kStatLogBatch = 4096;
+
   Network(sim::Simulator& simulator, LatencyModel latency)
       : sim_{simulator}, latency_{std::move(latency)} {}
 
@@ -63,11 +68,14 @@ class SQOS_DOMAIN(global) Network {
     assert(from.value() < names_.size());
     assert(to.value() < names_.size());
     account(stats_, kind, size);
-    // Per-node accounting is deferred: at 10^5 nodes the sender/receiver
+    // Per-node accounting is batched: at 10^5 nodes the sender/receiver
     // stat blocks are two random cache misses per send, so the hot path
-    // appends to a sequential log instead and the blocks are updated in one
-    // batched pass when somebody actually reads them (fold_pending). The
-    // folded values are sums, so the result is identical to eager updates.
+    // appends to a sequential log instead, and the blocks are updated in one
+    // pass (fold_pending) when the log holds kStatLogBatch records or
+    // somebody reads them. The folded values are sums, so the result is
+    // identical to eager updates, and the logs stay bounded however long
+    // the run.
+    if (sent_log_.size() == kStatLogBatch) fold_pending();
     sent_log_.push_back(LogRecord{from.value(), static_cast<std::uint32_t>(kind),
                                   static_cast<std::uint64_t>(size.count())});
     if (!down_links_.empty() && !link_up(from, to)) {
@@ -117,8 +125,8 @@ class SQOS_DOMAIN(global) Network {
   };
 
   /// Apply every pending log record to the per-node stat tables and clear
-  /// the logs. Values are order-independent sums, so folding lazily (or the
-  /// size-capped eager fold in send) yields exactly the eager result.
+  /// the logs. Values are order-independent sums, so folding in batches
+  /// (send) or on a read yields exactly the eager result.
   void fold_pending() const;
 
   sim::Simulator& sim_;

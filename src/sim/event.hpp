@@ -18,8 +18,8 @@ enum class EventId : std::uint64_t {};
 }
 
 /// The callback type executed when an event fires. Small captures (up to
-/// InlineFn::kInlineSize bytes) live inside the pool-recycled event slot —
-/// no allocation on the steady schedule/execute path.
+/// InlineFn::kInlineSize bytes) live inside the pool-recycled event slot and
+/// cost no allocation; larger ones take one.
 using EventFn = InlineFn;
 
 /// A popped event, ready to execute. Ordering inside the queue is

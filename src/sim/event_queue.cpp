@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <functional>
+#include <utility>
 
 namespace sqos::sim {
 
@@ -22,7 +23,35 @@ EventQueue::EventQueue() {
   for (auto& level : heads_) level.fill(kNil);
 }
 
-EventId EventQueue::push(SimTime t, EventFn fn) {
+EventId EventQueue::push(SimTime t, EventFn fn) { return insert(t, next_seq_++, std::move(fn)); }
+
+void EventQueue::push_series(std::size_t n, std::unique_ptr<EventSeries> series) {
+  if (n == 0) return;
+  const std::uint64_t first = next_seq_;
+  next_seq_ += n;
+  reserved_ += n;
+  arm(std::move(series), first, 0, n);
+}
+
+void EventQueue::arm(std::unique_ptr<EventSeries> series, std::uint64_t seq, std::size_t i,
+                     std::size_t n) {
+  const SimTime t = series->time_of(i);
+  --reserved_;
+  // Event i outranks the series' later events — no earlier time, smaller
+  // seq — so holding only it leaves the queue's minimum unchanged.
+  auto run = [this, series = std::move(series), seq, i, n]() mutable {
+    EventSeries& s = *series;
+    if (i + 1 < n) {
+      assert(s.time_of(i + 1) >= s.time_of(i) && "series times must be nondecreasing");
+      arm(std::move(series), seq + 1, i + 1, n);
+    }
+    s.fire(i);
+  };
+  static_assert(InlineFn::fits_inline<decltype(run)>(), "arming a series must not allocate");
+  insert(t, seq, std::move(run));
+}
+
+EventId EventQueue::insert(SimTime t, std::uint64_t seq, EventFn&& fn) {
   std::uint32_t index = 0;
   if (!free_slots_.empty()) {
     index = free_slots_.back();
@@ -36,7 +65,7 @@ EventId EventQueue::push(SimTime t, EventFn fn) {
   Slot& s = slot(index);
   s.fn = std::move(fn);
   s.time = t;
-  s.seq = next_seq_++;
+  s.seq = seq;
   s.live = true;
 
   const Entry entry{t, s.seq, index, s.gen};

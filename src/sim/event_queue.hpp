@@ -13,6 +13,19 @@
 
 namespace sqos::sim {
 
+/// The times and the work of a pre-planned event series (push_series).
+class EventSeries {
+ public:
+  EventSeries() = default;
+  EventSeries(const EventSeries&) = delete;
+  EventSeries& operator=(const EventSeries&) = delete;
+  virtual ~EventSeries() = default;
+  /// Time of event i; nondecreasing in i.
+  [[nodiscard]] virtual SimTime time_of(std::size_t i) const = 0;
+  /// Run event i.
+  virtual void fire(std::size_t i) = 0;
+};
+
 /// Every pending event sits in exactly one of three tiers:
 ///   * the active heap — a small binary min-heap on (time, seq) holding the
 ///     events due at or before the cursor's tick, including pushes below
@@ -42,6 +55,9 @@ namespace sqos::sim {
 /// the id and any heap record, and destroys the callback at once. A slot at
 /// the head of its bucket is unlinked and freed at once; one deeper in a
 /// bucket returns to the free list when the cursor walks that bucket.
+///
+/// A series (push_series) reserves a block of sequence numbers but holds
+/// only its next event; size() counts the reserved remainder as pending.
 class SQOS_DOMAIN(owner) EventQueue {
  public:
   /// One wheel tick: 2^14 us = 16.384 ms.
@@ -58,8 +74,19 @@ class SQOS_DOMAIN(owner) EventQueue {
 
   EventQueue();
 
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
   /// Schedule `fn` at time `t`; returns the handle used for cancel().
   EventId push(SimTime t, EventFn fn);
+
+  /// Schedule events 0..n-1 of `series` at its nondecreasing times, popping
+  /// in exactly the (time, seq) order of n push() calls made now: the series
+  /// takes the next n sequence numbers, but only event i is held in the
+  /// queue until it runs, and running it pushes event i + 1 under its
+  /// reserved number before calling fire(i). A popped series event must be
+  /// run. Series events cannot be cancelled.
+  void push_series(std::size_t n, std::unique_ptr<EventSeries> series);
 
   /// Pop the earliest non-cancelled event; returns false when empty.
   [[nodiscard]] bool pop(Event& out);
@@ -76,8 +103,9 @@ class SQOS_DOMAIN(owner) EventQueue {
   /// Alias of next_time() kept for observers (invariant audits). O(1), const.
   [[nodiscard]] SimTime peek_next_time() const { return next_time(); }
 
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-  [[nodiscard]] std::size_t size() const { return live_; }
+  /// Pending events, counting the events of a series not yet pushed.
+  [[nodiscard]] std::size_t size() const { return live_ + reserved_; }
+  [[nodiscard]] bool empty() const { return size() == 0; }
 
  private:
   /// Heap record for the active and overflow heaps.
@@ -125,6 +153,13 @@ class SQOS_DOMAIN(owner) EventQueue {
   }
 
   static constexpr unsigned kChunkBits = 12;  // 4,096 slots per chunk
+
+  /// push() with a given sequence number. Takes `fn` by reference so push()
+  /// relocates the callback once, into its slot.
+  EventId insert(SimTime t, std::uint64_t seq, EventFn&& fn);
+
+  /// Push event i of a series (n events, event i numbered `seq`).
+  void arm(std::unique_ptr<EventSeries> series, std::uint64_t seq, std::size_t i, std::size_t n);
 
   [[nodiscard]] Slot& slot(std::uint32_t index) {
     return chunks_[index >> kChunkBits][index & ((1u << kChunkBits) - 1)];
@@ -192,6 +227,8 @@ class SQOS_DOMAIN(owner) EventQueue {
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
+  /// Series events whose sequence number is taken but which are not pushed.
+  std::size_t reserved_ = 0;
 };
 
 }  // namespace sqos::sim

@@ -5,9 +5,10 @@
 // captures exceed the implementation's tiny internal buffer costs a heap
 // allocation and a pointer-chasing indirect destroy. InlineFn stores any
 // nothrow-movable callable of up to kInlineSize bytes directly inside the
-// event record, so the steady-state schedule/execute cycle never touches the
-// allocator. Larger or throwing-move callables transparently fall back to the
-// heap — correctness never depends on the capture size.
+// event record, so scheduling and running it never touch the allocator.
+// Larger or throwing-move callables transparently fall back to the heap —
+// correctness never depends on the capture size. About half of the
+// protocol's closures are larger (docs/PERFORMANCE.md, hot-path item 1).
 //
 // Differences from std::function<void()>:
 //   * move-only (so closures may own move-only state, e.g. unique_ptr);

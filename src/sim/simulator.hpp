@@ -11,7 +11,11 @@
 // in scheduling order (DESIGN.md §9).
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/inline_fn.hpp"
@@ -35,6 +39,17 @@ class SQOS_DOMAIN(global) Simulator {
 
   /// Schedule `fn` after a non-negative delay.
   SQOS_EXCHANGE EventId schedule_after(SimTime delay, EventFn fn);
+
+  /// Schedule n events at nondecreasing times time_of(0) <= ... <=
+  /// time_of(n - 1), the first no earlier than now(); event i calls fire(i).
+  /// The run is exactly that of n schedule_at calls made now — same
+  /// (time, seq) order, executed_events() and pending_events() — but only
+  /// the series' next event is held in the queue (EventQueue::push_series),
+  /// so a pre-planned series costs the memory of one event. Both callables
+  /// are kept until the last event has run. Series events cannot be
+  /// cancelled.
+  template <typename TimeOf, typename Fire>
+  SQOS_EXCHANGE void schedule_series(std::size_t n, TimeOf time_of, Fire fire);
 
   /// Cancel a pending event. Returns false if it already fired or was
   /// cancelled before.
@@ -76,6 +91,40 @@ class SQOS_DOMAIN(global) Simulator {
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   PostEventHook post_event_;
+};
+
+template <typename TimeOf, typename Fire>
+void Simulator::schedule_series(std::size_t n, TimeOf time_of, Fire fire) {
+  class Series final : public EventSeries {
+   public:
+    Series(TimeOf t, Fire f) : time_of_{std::move(t)}, fire_{std::move(f)} {}
+    [[nodiscard]] SimTime time_of(std::size_t i) const override { return time_of_(i); }
+    void fire(std::size_t i) override { fire_(i); }
+
+   private:
+    TimeOf time_of_;
+    Fire fire_;
+  };
+  if (n == 0) return;
+  assert(time_of(0) >= now_ && "cannot schedule into the past");
+  queue_.push_series(n, std::make_unique<Series>(std::move(time_of), std::move(fire)));
+}
+
+/// The times of a periodic series: event i at first + i * period.
+struct Periodic {
+  SimTime first;
+  SimTime period;
+
+  [[nodiscard]] SimTime operator()(std::size_t i) const {
+    return first + period * static_cast<std::int64_t>(i);
+  }
+
+  /// How many events fall at or before `until`.
+  [[nodiscard]] std::size_t count_through(SimTime until) const {
+    assert(period > SimTime::zero());
+    if (first > until) return 0;
+    return static_cast<std::size_t>((until - first).as_micros() / period.as_micros()) + 1;
+  }
 };
 
 }  // namespace sqos::sim

@@ -7,9 +7,9 @@ namespace sqos::stats {
 void RmMonitor::start(SimTime until) {
   sim::Simulator& sim = cluster_.simulator();
   assert(interval_ > SimTime::zero());
-  for (SimTime t = sim.now(); t <= until; t += interval_) {
-    sim.schedule_at(t, [this] { sample_once(); });
-  }
+  const sim::Periodic samples{sim.now(), interval_};
+  sim.schedule_series(samples.count_through(until), samples,
+                      [this](std::size_t) { sample_once(); });
 }
 
 void RmMonitor::sample_once() {

@@ -1,12 +1,16 @@
-// SmallU64Map — an unordered_map replacement for tiny, hot key sets.
+// SmallU64Map — an unordered_map replacement for small, hot key sets.
 //
 // The DFS client keys its in-flight negotiation state (opens, writes,
-// sessions, pending releases) by a 64-bit id. Each map holds a handful of
-// entries per client, but the *lookups* run once per delivered message —
-// millions of times per run — and std::unordered_map pays a hash, a modulo
-// and a cold bucket chase per find. A flat vector of (key, value) pairs with
-// linear scan beats that decisively at these sizes (the whole map is one or
-// two cache lines) and allocates nothing once warm.
+// sessions, pending releases) by a 64-bit id, and the *lookups* run once per
+// delivered message — millions of times per run. A flat vector of
+// (key, value) pairs with linear scan skips unordered_map's hash, modulo and
+// cold bucket chase, and allocates nothing once warm.
+//
+// The maps are not tiny, though. Averaged over lookups in bench/e2e, the map
+// searched holds 74 entries on scale-2048 (148 at most), 46 on paper-day
+// (72), 38 on ingest-mix (111) and 2.2 on ec-tenants (72), so a lookup
+// typically scans tens of entries — many cache lines when the values are
+// large.
 //
 // Semantics match the subset of unordered_map the client uses: find/end,
 // at, emplace (no overwrite), erase by iterator or key. Erase is
@@ -17,6 +21,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 

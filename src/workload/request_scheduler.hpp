@@ -21,15 +21,19 @@ class RequestScheduler {
   RequestScheduler& operator=(const RequestScheduler&) = delete;
 
   /// Schedule every pattern event at `start + event.time` on the cluster's
-  /// simulator. The designated start offset lets the registration protocol
-  /// settle first (the paper's scheduler also designates a startup time so
-  /// all users launch simultaneously).
+  /// simulator, as one event series (Simulator::schedule_series): the
+  /// arrivals fire as if each had its own schedule_at, in (time, pattern
+  /// index) order, but only the next one is held in the queue. The
+  /// designated start offset lets the registration protocol settle first
+  /// (the paper's scheduler also designates a startup time so all users
+  /// launch simultaneously). The scheduler must outlive the run.
   void schedule(SimTime start = SimTime::seconds(1.0));
 
   /// Override the user -> client routing (default: user % client_count).
   /// Mixed-tenant patterns install a map that keeps each tenant's users on
   /// that tenant's own client range, so requests carry the right tenant id.
-  /// Must be set before schedule().
+  /// Must be set before schedule(); it is called as each request is
+  /// dispatched, so it must be a pure function of the user.
   void set_user_map(std::function<std::size_t(std::uint32_t)> map) { user_map_ = std::move(map); }
 
   [[nodiscard]] std::size_t request_count() const { return pattern_.size(); }
@@ -48,8 +52,11 @@ class RequestScheduler {
   }
 
  private:
+  /// Open `event.file` on the event's client and count the outcome.
+  void dispatch(const AccessEvent& event);
+
   dfs::Cluster& cluster_;
-  std::vector<AccessEvent> pattern_;
+  std::vector<AccessEvent> pattern_;  // sorted by time once scheduled
   std::function<std::size_t(std::uint32_t)> user_map_;  // null = round-robin
   std::uint64_t dispatched_ = 0;
   std::uint64_t completed_ = 0;

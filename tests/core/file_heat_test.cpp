@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace sqos::core {
 namespace {
 
@@ -84,6 +89,39 @@ TEST(FileHeat, ZeroCoverStillReturnsBusiestFile) {
   const auto cover = h.busiest_cover(0.0);
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover[0], 7u);
+}
+
+TEST(FileHeat, BusiestCoverIsTheCoveringPrefixOfRanking) {
+  // busiest_cover heap-selects; ranking() sorts. On random tables with many
+  // tied counts and forgotten files, the cover must be exactly the shortest
+  // prefix of ranking() whose accesses reach the fraction.
+  Rng rng{4242};
+  for (int round = 0; round < 200; ++round) {
+    FileHeat h;
+    const std::uint64_t files = 1 + rng.next_below(300);
+    const std::uint64_t accesses = 1 + rng.next_below(3000);
+    for (std::uint64_t a = 0; a < accesses; ++a) {
+      // Squaring skews the draw toward low keys: a few hot files, many ties
+      // among the cold ones.
+      const double u = rng.next_double();
+      h.record_access(static_cast<std::uint64_t>(u * u * static_cast<double>(files)) * 7);
+    }
+    for (std::uint64_t f = 0; f < files / 10; ++f) h.forget(rng.next_below(files) * 7);
+    const auto ranked = h.ranking();
+    for (const double fraction : {0.0, 0.1, 0.25, 0.5, 0.7, 0.9, 1.0}) {
+      std::vector<std::uint64_t> expected;
+      const double target = fraction * static_cast<double>(h.total_accesses());
+      double cum = 0.0;
+      for (const auto& [file, count] : ranked) {
+        if (h.total_accesses() == 0) break;
+        expected.push_back(file);
+        cum += static_cast<double>(count);
+        if (cum >= target) break;
+      }
+      ASSERT_EQ(h.busiest_cover(fraction), expected) << "round " << round << " fraction "
+                                                     << fraction;
+    }
+  }
 }
 
 }  // namespace

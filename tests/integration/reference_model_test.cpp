@@ -6,8 +6,11 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/history_window.hpp"
 #include "sim/event_queue.hpp"
@@ -64,6 +67,27 @@ struct QueueInput {
   /// every operation — the run_until pattern — and a full drain every 4,096
   /// steps, so far-future pushes also land in an idle queue.
   bool wheel = false;
+  /// Also push event series (EventQueue::push_series) of 1-8 events whose
+  /// nondecreasing times come from the same draw, with same-instant ties
+  /// inside a series and with the ordinary pushes around it. The model holds
+  /// every series event from the moment the series is pushed, as n eager
+  /// pushes would; the queue must pop them in that order, with an equal
+  /// size(), running each popped series event so it arms its successor.
+  bool series = false;
+};
+
+/// A series over a fixed list of times; checks it fires in index order.
+class ListSeries final : public sim::EventSeries {
+ public:
+  explicit ListSeries(std::vector<std::int64_t> times) : times_{std::move(times)} {}
+  [[nodiscard]] SimTime time_of(std::size_t i) const override {
+    return SimTime::micros(times_[i]);
+  }
+  void fire(std::size_t i) override { EXPECT_EQ(i, next_++); }
+
+ private:
+  std::vector<std::int64_t> times_;
+  std::size_t next_ = 0;
 };
 
 void PrintTo(const QueueInput& input, std::ostream* os) { *os << input.name; }
@@ -75,7 +99,8 @@ TEST_P(EventQueueReference, MatchesMultimapModel) {
   sim::EventQueue queue;
   // Reference: ordered by (time, seq); cancellation removes by the id the
   // queue issued. Ids of popped/cancelled events must go stale (the queue
-  // recycles slots under a new generation).
+  // recycles slots under a new generation). Series events carry id 0, which
+  // the queue never issues.
   std::multimap<std::pair<std::int64_t, std::uint64_t>, std::uint64_t> model;
   std::map<std::uint64_t, std::multimap<std::pair<std::int64_t, std::uint64_t>,
                                         std::uint64_t>::iterator>
@@ -104,6 +129,12 @@ TEST_P(EventQueueReference, MatchesMultimapModel) {
         model.empty() ? SimTime::max() : SimTime::micros(model.begin()->first.first);
     ASSERT_EQ(queue.next_time(), expected);
   };
+  // A popped series event runs at once, as the simulator would run it: that
+  // pushes its successor, which the model already holds.
+  const auto run_if_series = [&](sim::Event& out, std::uint64_t model_id) {
+    ASSERT_EQ(queue.size(), model.size());
+    if (model_id == 0) out.fn();
+  };
   // Pop everything left; the order must match the model to the last event.
   const auto drain = [&] {
     sim::Event out;
@@ -112,15 +143,32 @@ TEST_P(EventQueueReference, MatchesMultimapModel) {
       ASSERT_EQ(out.time.as_micros(), model.begin()->first.first);
       ASSERT_EQ(out.seq, model.begin()->first.second);
       last_popped = out.time.as_micros();
-      by_id.erase(model.begin()->second);
+      const std::uint64_t model_id = model.begin()->second;
+      by_id.erase(model_id);
       model.erase(model.begin());
+      run_if_series(out, model_id);
     }
     ASSERT_TRUE(model.empty());
+    ASSERT_EQ(queue.size(), 0u);
   };
 
   for (int step = 0; step < input.steps; ++step) {
     const double op = rng.next_double();
-    if (op < 0.5 || issued.empty()) {  // push
+    if (input.series && op < 0.05) {  // push a series
+      std::vector<std::int64_t> times(1 + rng.next_below(8));
+      for (std::int64_t& t : times) t = push_time();
+      std::sort(times.begin(), times.end());
+      for (std::size_t j = 1; j < times.size(); ++j) {
+        if (rng.next_double() < 0.3) times[j] = times[j - 1];  // same-instant tie
+      }
+      for (std::size_t j = 0; j < times.size(); ++j) {
+        model.emplace(std::make_pair(times[j], seq + j), 0);
+      }
+      seq += times.size();
+      last_pushed = times.back();
+      const std::size_t n = times.size();
+      queue.push_series(n, std::make_unique<ListSeries>(std::move(times)));
+    } else if (op < 0.5 || issued.empty()) {  // push
       const std::int64_t t = push_time();
       last_pushed = t;
       const sim::EventId id = queue.push(SimTime::micros(t), [] {});
@@ -137,10 +185,14 @@ TEST_P(EventQueueReference, MatchesMultimapModel) {
         const auto expected = model.begin();
         ASSERT_EQ(out.time.as_micros(), expected->first.first) << "step " << step;
         ASSERT_EQ(out.seq, expected->first.second) << "step " << step;
-        ASSERT_EQ(sim::to_underlying(out.id), expected->second);
+        const std::uint64_t model_id = expected->second;
+        if (model_id != 0) {
+          ASSERT_EQ(sim::to_underlying(out.id), model_id);
+        }
         last_popped = out.time.as_micros();
-        by_id.erase(expected->second);
+        by_id.erase(model_id);
         model.erase(expected);
+        run_if_series(out, model_id);
       }
     } else {  // cancel a random previously issued (possibly stale) id
       const std::size_t recent = std::min<std::size_t>(issued.size(), 64);
@@ -166,7 +218,8 @@ TEST_P(EventQueueReference, MatchesMultimapModel) {
 INSTANTIATE_TEST_SUITE_P(
     Inputs, EventQueueReference,
     ::testing::Values(QueueInput{"NarrowWindow", 7, 30'000, false},
-                      QueueInput{"WheelLevels", 11, 60'000, true}),
+                      QueueInput{"WheelLevels", 11, 60'000, true},
+                      QueueInput{"Series", 13, 60'000, true, true}),
     [](const ::testing::TestParamInfo<QueueInput>& param) {
       return std::string{param.param.name};
     });

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace sqos::net {
 namespace {
 
@@ -81,6 +84,66 @@ TEST(Network, ResetStatsKeepsTopology) {
   EXPECT_EQ(net.stats().total_messages, 0u);
   EXPECT_EQ(net.node_sent(a).total_messages, 0u);
   EXPECT_EQ(net.node_count(), 2u);
+}
+
+/// Eager reference for the per-node tables: the sums Network::send would
+/// add to the sender's and receiver's blocks if it updated them per message.
+void add(TrafficStats& s, MessageKind kind, std::uint64_t bytes) {
+  ++s.count_by_kind[static_cast<std::size_t>(kind)];
+  s.bytes_by_kind[static_cast<std::size_t>(kind)] += bytes;
+  ++s.total_messages;
+  s.total_bytes += bytes;
+}
+
+void expect_same(const TrafficStats& got, const TrafficStats& want, const char* what,
+                 std::size_t node) {
+  EXPECT_EQ(got.count_by_kind, want.count_by_kind) << what << " node " << node;
+  EXPECT_EQ(got.bytes_by_kind, want.bytes_by_kind) << what << " node " << node;
+  EXPECT_EQ(got.total_messages, want.total_messages) << what << " node " << node;
+  EXPECT_EQ(got.total_bytes, want.total_bytes) << what << " node " << node;
+}
+
+TEST(Network, BatchedPerNodeStatsEqualEagerSums) {
+  // Several stat-log batches' worth of sends, with a mid-run read, a
+  // partition window and a reset_stats() that land off batch boundaries:
+  // every per-node table must equal the sums of eager per-message updates.
+  sim::Simulator sim;
+  Network net{sim, fixed_latency()};
+  constexpr std::size_t kNodes = 5;
+  std::vector<NodeId> nodes;
+  for (std::size_t n = 0; n < kNodes; ++n) nodes.push_back(net.register_node("n"));
+  std::vector<TrafficStats> sent(kNodes);
+  std::vector<TrafficStats> received(kNodes);
+
+  const std::size_t total = Network::kStatLogBatch * 4 + 123;
+  const std::size_t cut = Network::kStatLogBatch + 77;
+  const std::size_t heal = Network::kStatLogBatch * 2 + 5;
+  const std::size_t reset = Network::kStatLogBatch * 2 + 1000;
+  const std::size_t peek = Network::kStatLogBatch * 3 + 11;
+  for (std::size_t i = 0; i < total; ++i) {
+    if (i == cut) net.set_link_down(nodes[0], nodes[1]);
+    if (i == heal) net.set_link_up(nodes[0], nodes[1]);
+    if (i == reset) {
+      net.reset_stats();
+      sent.assign(kNodes, TrafficStats{});
+      received.assign(kNodes, TrafficStats{});
+    }
+    if (i == peek) expect_same(net.node_sent(nodes[2]), sent[2], "mid-run sent", 2);
+    const std::size_t from = i % kNodes;
+    const std::size_t to = (i * 3 + 1) % kNodes;
+    const auto kind = static_cast<MessageKind>(i % kMessageKindCount);
+    const std::uint64_t bytes = (i * 37) % 1000;
+    net.send(nodes[from], nodes[to], kind, Bytes::of(static_cast<std::int64_t>(bytes)), [] {});
+    add(sent[from], kind, bytes);
+    const bool on_cut_link = (from == 0 && to == 1) || (from == 1 && to == 0);
+    if (!(on_cut_link && i >= cut && i < heal)) add(received[to], kind, bytes);
+  }
+  sim.run();
+
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    expect_same(net.node_sent(nodes[n]), sent[n], "sent", n);
+    expect_same(net.node_received(nodes[n]), received[n], "received", n);
+  }
 }
 
 TEST(Network, MessagesPreserveCausality) {

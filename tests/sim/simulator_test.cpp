@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace sqos::sim {
@@ -138,6 +141,82 @@ TEST(Simulator, DeterministicAcrossRuns) {
     return trace;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// One executed event as the tests below observe it.
+struct Fired {
+  std::string label;
+  std::int64_t at_us;
+  std::size_t pending;
+  friend bool operator==(const Fired&, const Fired&) = default;
+};
+
+/// Ordinary events around a series at the same instants, plus events the
+/// series schedules while it runs. `as_series` schedules the {1,1,2,3,3,5} s
+/// arrivals either as one series or as six schedule_at calls.
+std::vector<Fired> run_with_series(bool as_series) {
+  Simulator sim;
+  std::vector<Fired> log;
+  const auto record = [&log, &sim](std::string label) {
+    log.push_back(Fired{std::move(label), sim.now().as_micros(), sim.pending_events()});
+  };
+  const std::vector<double> times = {1.0, 1.0, 2.0, 3.0, 3.0, 5.0};
+  sim.schedule_at(SimTime::seconds(1.0), [&] { record("before"); });
+  const auto arrival = [&](std::size_t i) {
+    record("arrival" + std::to_string(i));
+    // Same-instant work scheduled while the series runs comes after every
+    // arrival already due at this instant.
+    sim.schedule_after(SimTime::zero(), [&, i] { record("echo" + std::to_string(i)); });
+  };
+  if (as_series) {
+    sim.schedule_series(
+        times.size(), [&](std::size_t i) { return SimTime::seconds(times[i]); }, arrival);
+  } else {
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      sim.schedule_at(SimTime::seconds(times[i]), [&arrival, i] { arrival(i); });
+    }
+  }
+  sim.schedule_at(SimTime::seconds(3.0), [&] { record("after"); });
+  record("scheduled");
+  sim.run();
+  record("done");
+  return log;
+}
+
+TEST(Simulator, SeriesRunsExactlyLikeEagerSchedules) {
+  const std::vector<Fired> series = run_with_series(true);
+  EXPECT_EQ(series, run_with_series(false));
+  ASSERT_FALSE(series.empty());
+  EXPECT_EQ(series.front(), (Fired{"scheduled", 0, 8}));  // 1 + 6 arrivals + 1
+  EXPECT_EQ(series.back(), (Fired{"done", 5'000'000, 0}));
+}
+
+TEST(Simulator, EmptySeriesSchedulesNothing) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_series(
+      0, [](std::size_t) { return SimTime::zero(); }, [&fired](std::size_t) { ++fired; });
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.executed_events(), 0u);
+}
+
+TEST(Simulator, PeriodicSeriesIncludesItsLastTick) {
+  const Periodic ticks{SimTime::seconds(10.0), SimTime::seconds(5.0)};
+  EXPECT_EQ(ticks(0), SimTime::seconds(10.0));
+  EXPECT_EQ(ticks(2), SimTime::seconds(20.0));
+  EXPECT_EQ(ticks.count_through(SimTime::seconds(9.0)), 0u);
+  EXPECT_EQ(ticks.count_through(SimTime::seconds(10.0)), 1u);
+  EXPECT_EQ(ticks.count_through(SimTime::seconds(24.9)), 3u);
+  EXPECT_EQ(ticks.count_through(SimTime::seconds(25.0)), 4u);
+
+  Simulator sim;
+  std::vector<std::int64_t> at;
+  sim.schedule_series(ticks.count_through(SimTime::seconds(25.0)), ticks,
+                      [&](std::size_t) { at.push_back(sim.now().as_micros()); });
+  sim.run();
+  EXPECT_EQ(at, (std::vector<std::int64_t>{10'000'000, 15'000'000, 20'000'000, 25'000'000}));
 }
 
 }  // namespace

@@ -63,6 +63,15 @@ TEST(DomainCheck, CrossWritesAndCapturesFlaggedExchangeAndReadsAllowed) {
                       {"domain-capture", 16}}));
 }
 
+TEST(DomainCheck, SeriesClosureCaptureFlagged) {
+  // line 8: `&shard_` captured into a schedule_series closure is the same
+  // cross-shard alias as in schedule_at/schedule_after; line 9 captures only
+  // `this` and must pass.
+  EXPECT_EQ(analyze({"src/dfs/domain_shard.hpp", "src/dfs/domain_series.hpp",
+                     "src/dfs/domain_series.cpp"}),
+            (Expected{{"domain-capture", 8}}));
+}
+
 TEST(DomainCheck, SuppressionLifecycleJustifiedUmbrellaBadAndUnused) {
   // line 8: justified rule-specific suppression eats the finding; line 9:
   // the umbrella rule name `domain` does too; line 10: a suppression without

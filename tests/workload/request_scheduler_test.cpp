@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "testing/test_cluster.hpp"
 
 namespace sqos::workload {
@@ -54,6 +57,35 @@ TEST(RequestScheduler, CountsFirmRefusalsAsFailures) {
   EXPECT_TRUE(scheduler.drained());
   EXPECT_DOUBLE_EQ(scheduler.fail_rate(),
                    static_cast<double>(scheduler.failed()) / 4.0);
+}
+
+TEST(RequestScheduler, UnsortedPatternDispatchesInTimeThenPatternOrder) {
+  // A loaded trace need not be sorted. One schedule_at per event would fire
+  // them in (time, pattern index) order; the series must too, ties included.
+  // The user map runs as each request is dispatched, so it logs the order.
+  auto cluster = testing::make_small_cluster();
+  ASSERT_TRUE(cluster->place_replica(0, 1).is_ok());
+  cluster->start();
+
+  const std::vector<double> at = {3.0, 1.0, 3.0, 1.0, 2.0, 1.0};
+  std::vector<AccessEvent> pattern;
+  for (std::uint32_t u = 0; u < at.size(); ++u) {
+    pattern.push_back(AccessEvent{SimTime::seconds(at[u]), u, 1});
+  }
+  RequestScheduler scheduler{*cluster, std::move(pattern)};
+  std::vector<std::uint32_t> order;
+  scheduler.set_user_map([&order](std::uint32_t user) {
+    order.push_back(user);
+    return std::size_t{0};
+  });
+  const std::size_t registration = cluster->simulator().pending_events();
+  scheduler.schedule();
+  EXPECT_EQ(cluster->simulator().pending_events(), registration + at.size());
+  cluster->simulator().run();
+
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 3, 5, 4, 0, 2}));
+  EXPECT_EQ(scheduler.dispatched(), at.size());
+  EXPECT_TRUE(scheduler.drained());
 }
 
 TEST(RequestScheduler, EmptyPatternReportsZeroFailRate) {

@@ -547,6 +547,7 @@ void collect_call_spans(const DomainFile& f, const Tables& tables, FileScan& sca
   for (const std::string& name : tables.exchange_bare) collect(name, scan.exchange_spans);
   collect("schedule_at", scan.schedule_spans);
   collect("schedule_after", scan.schedule_spans);
+  collect("schedule_series", scan.schedule_spans);
 }
 
 // ------------------------------------------------------- pass 4: checks --
@@ -676,8 +677,9 @@ void check_cross_writes(const DomainFile& f, const Tables& tables, const FileSca
   }
 }
 
-/// Rule domain-capture: `&var` inside a schedule_at/schedule_after argument
-/// list, where `var` is shard state of a foreign domain. The closure will
+/// Rule domain-capture: `&var` inside a schedule_at/schedule_after/
+/// schedule_series argument list, where `var` is shard state of a foreign
+/// domain. The closure will
 /// run as a future event on behalf of this shard, so the reference is a
 /// cross-shard alias smuggled past the exchange layer.
 void check_captures(const DomainFile& f, const Tables& tables, const FileScan& scan,
@@ -856,8 +858,8 @@ const std::vector<RuleInfo>& domain_rule_catalog() {
                      "must declare SQOS_DOMAIN(rm|client|global|owner)"},
       {kCrossWrite, "a method of one domain may not mutate another domain's state "
                     "except through a declared SQOS_EXCHANGE function"},
-      {kCapture, "schedule_at/schedule_after closures may not capture foreign-domain "
-                 "state by reference"},
+      {kCapture, "schedule_at/schedule_after/schedule_series closures may not capture "
+                 "foreign-domain state by reference"},
       {kBadSuppression, "sqos-lint: allow(domain...) directives require a justification"},
       {kUnusedSuppression, "justified domain suppressions that match nothing must be "
                            "deleted"},

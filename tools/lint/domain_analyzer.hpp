@@ -24,9 +24,9 @@
 //                        (non-const call or member write) outside any
 //                        constructor/SQOS_SETUP context, exchange function,
 //                        or exchange-call argument span
-//   domain-capture       schedule_at/schedule_after closure captures &state
-//                        of a foreign domain — a cross-shard alias smuggled
-//                        into a future event
+//   domain-capture       schedule_at/schedule_after/schedule_series closure
+//                        captures &state of a foreign domain — a cross-shard
+//                        alias smuggled into a future event
 //
 // Suppression: the shared `sqos-lint:` marker with `allow(<rule>): <why>`
 // (tools/lint/source_view.hpp); the umbrella rule name `domain` matches all
