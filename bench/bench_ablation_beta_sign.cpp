@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                  : std::vector<double>{-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0};
   for (const double beta : betas) {
     exp::ExperimentParams params;
-    params.users = static_cast<std::size_t>(args.cfg.get_int("users", 256));
+    params.users = args.cfg.get_count("users", 256);
     params.policy = core::PolicyWeights{1.0, beta, 0.0};
 
     params.mode = core::AllocationMode::kSoft;

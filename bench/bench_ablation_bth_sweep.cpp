@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
                  : std::vector<double>{0.05, 0.10, 0.20, 0.40, 0.60};
   for (const double bth : thresholds) {
     exp::ExperimentParams params;
-    params.users = static_cast<std::size_t>(args.cfg.get_int("users", 256));
+    params.users = args.cfg.get_count("users", 256);
     params.policy = core::PolicyWeights::p100();
     params.replication = core::ReplicationConfig::rep(1, 3);
     params.replication.trigger_threshold = bth;

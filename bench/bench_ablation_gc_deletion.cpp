@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
                  : std::vector<double>{-1.0, 120.0, 300.0, 600.0, 1800.0};
   for (const double thr : thresholds) {
     exp::ExperimentParams params;
-    params.users = static_cast<std::size_t>(args.cfg.get_int("users", 256));
+    params.users = args.cfg.get_count("users", 256);
     params.mode = core::AllocationMode::kSoft;
     params.policy = core::PolicyWeights::p100();
     params.replication = core::ReplicationConfig::rep(1, 8);

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
       cluster.history.expiry = SimTime::seconds(expiry);
 
       exp::ExperimentParams params;
-      params.users = static_cast<std::size_t>(args.cfg.get_int("users", 256));
+      params.users = args.cfg.get_count("users", 256);
       params.policy = core::PolicyWeights::p110();
       params.cluster = cluster;
 

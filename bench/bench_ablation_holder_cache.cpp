@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     cluster.holder_cache_ttl = SimTime::seconds(ttl);
 
     exp::ExperimentParams params;
-    params.users = static_cast<std::size_t>(args.cfg.get_int("users", 256));
+    params.users = args.cfg.get_count("users", 256);
     params.policy = core::PolicyWeights::p100();
     params.replication = core::ReplicationConfig::rep(1, 3);
     params.cluster = cluster;

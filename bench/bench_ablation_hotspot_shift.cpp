@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   bench::print_preamble("Ablation A10 — shifting-hotspot workload (popularity re-dealt per phase)",
                         "QoS per replication strategy, stationary vs 4-phase workload", args);
 
-  const std::size_t users = static_cast<std::size_t>(args.cfg.get_int("users", 256));
-  const std::size_t phases = static_cast<std::size_t>(args.cfg.get_int("phases", 4));
+  const std::size_t users = args.cfg.get_count("users", 256);
+  const std::size_t phases = args.cfg.get_count("phases", 4);
 
   // Build the shifting trace against the exact catalog run_experiment will
   // regenerate from the same seed forks.

@@ -12,8 +12,7 @@ int main(int argc, char** argv) {
   bench::print_preamble("Ablation A11 — metric spread across workload seeds",
                         "mean ± stddev [min, max] over N seeds, 256 users", args);
 
-  const std::size_t seeds = args.quick ? 3 : static_cast<std::size_t>(
-                                                 args.cfg.get_int("spread_seeds", 10));
+  const std::size_t seeds = args.quick ? 3 : args.cfg.get_count("spread_seeds", 10);
   AsciiTable table{"Seed spread (" + std::to_string(seeds) + " seeds)"};
   table.set_header({"configuration", "metric", "mean", "stddev", "min", "max"});
   CsvWriter csv =
@@ -45,7 +44,7 @@ int main(int argc, char** argv) {
   for (std::size_t ci = 0; ci < std::size(cells); ++ci) {
     const Cell& cell = cells[ci];
     exp::ExperimentParams params;
-    params.users = static_cast<std::size_t>(args.cfg.get_int("users", 256));
+    params.users = args.cfg.get_count("users", 256);
     params.mode = cell.mode;
     params.policy = cell.policy;
     params.replication = cell.rep;

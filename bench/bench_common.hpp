@@ -100,11 +100,10 @@ inline BenchArgs parse_args(int argc, char** argv,
     std::exit(1);
   }
   args.quick = args.cfg.get_bool("quick", false);
-  args.seeds = static_cast<std::size_t>(args.cfg.get_int("seeds", args.quick ? 1 : 3));
+  args.seeds = args.cfg.get_count("seeds", args.quick ? 1 : 3);
   args.csv_path = args.cfg.get_string("csv", "");
   args.base_seed = static_cast<std::uint64_t>(args.cfg.get_int("seed", 1));
-  args.jobs = static_cast<std::size_t>(
-      args.cfg.get_int("jobs", static_cast<std::int64_t>(exp::default_jobs())));
+  args.jobs = args.cfg.get_count("jobs", exp::default_jobs());
   if (args.jobs == 0) args.jobs = exp::default_jobs();
 
   const std::string json_path = args.cfg.get_string("json", "");
@@ -129,7 +128,7 @@ inline BenchArgs parse_args(int argc, char** argv,
 /// The user counts swept by Tables I and III.
 inline std::vector<std::size_t> user_sweep(const BenchArgs& args) {
   if (args.cfg.contains("users")) {
-    return {static_cast<std::size_t>(args.cfg.get_int("users", 256))};
+    return {args.cfg.get_count("users", 256)};
   }
   if (args.quick) return {64, 256};
   return {64, 128, 192, 256};

@@ -22,9 +22,7 @@ exp::ExperimentParams layout_params(const bench::BenchArgs& args,
                                     storage::LayoutPolicy layout) {
   exp::ExperimentParams params;
   params.layout = layout;
-  params.users = args.cfg.contains("users")
-                     ? static_cast<std::size_t>(args.cfg.get_int("users", 128))
-                     : (args.quick ? 64 : 128);
+  params.users = args.cfg.get_count("users", args.quick ? 64 : 128);
   workload::PatternParams pattern;
   pattern.users = params.users;
   pattern.duration = SimTime::minutes(args.quick ? 20.0 : 60.0);

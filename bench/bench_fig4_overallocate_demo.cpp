@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
                         "allocated bandwidth vs cap over time", args);
 
   exp::ExperimentParams params;
-  params.users = static_cast<std::size_t>(args.cfg.get_int("users", 256));
+  params.users = args.cfg.get_count("users", 256);
   params.mode = core::AllocationMode::kSoft;
   params.policy = core::PolicyWeights::random();
   params.monitor_interval = SimTime::seconds(60.0);

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   for (const auto& policy : {core::PolicyWeights::random(), core::PolicyWeights::p100()}) {
     exp::ExperimentParams params;
-    params.users = static_cast<std::size_t>(args.cfg.get_int("users", 256));
+    params.users = args.cfg.get_count("users", 256);
     params.mode = core::AllocationMode::kFirm;
     params.policy = policy;
     params.monitor_interval = SimTime::seconds(60.0);

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t si = 0; si < strategies.size(); ++si) {
     exp::ExperimentParams params;
-    params.users = static_cast<std::size_t>(args.cfg.get_int("users", 256));
+    params.users = args.cfg.get_count("users", 256);
     params.mode = core::AllocationMode::kSoft;
     params.policy = core::PolicyWeights::p100();
     params.replication = strategies[si];

@@ -10,8 +10,7 @@ int main(int argc, char** argv) {
   bench::print_preamble("Figure 7 — per-RM over-allocate ratio: static vs Rep(1,3)",
                         "R_OA per RM, soft RT, policy (1,0,0), 256 users", args);
 
-  const std::size_t users =
-      static_cast<std::size_t>(args.cfg.get_int("users", args.quick ? 128 : 256));
+  const std::size_t users = args.cfg.get_count("users", args.quick ? 128 : 256);
 
   const auto run_with = [&](core::ReplicationConfig rep) {
     exp::ExperimentParams params;

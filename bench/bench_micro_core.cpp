@@ -403,9 +403,8 @@ double best_of(std::size_t reps, Fn&& phase) {
 
 int run_perf_runner(const Config& cfg) {
   const bool quick = cfg.get_bool("quick", false);
-  const auto iters = static_cast<std::size_t>(
-      cfg.get_int("iters", quick ? 300'000 : 3'000'000));
-  const auto reps = static_cast<std::size_t>(cfg.get_int("reps", quick ? 2 : 3));
+  const auto iters = cfg.get_count("iters", quick ? 300'000 : 3'000'000);
+  const auto reps = cfg.get_count("reps", quick ? 2 : 3);
   const std::string json_path = cfg.get_string("json", "");
 
   std::printf("== bench_micro_core perf runner (%s, %zu iterations x %zu reps) ==\n",

@@ -8,8 +8,7 @@ int main(int argc, char** argv) {
   bench::print_preamble("Table II — per-RM over-allocate ratio, soft real-time, 256 users",
                         "R_OA per RM; RM1/RM9 are the extra-large providers", args);
 
-  const std::size_t users =
-      static_cast<std::size_t>(args.cfg.get_int("users", args.quick ? 128 : 256));
+  const std::size_t users = args.cfg.get_count("users", args.quick ? 128 : 256);
   CsvWriter csv = bench::open_csv(args, {"policy", "rm", "overallocate_ratio"});
 
   const auto policies = core::PolicyWeights::paper_set();

@@ -8,8 +8,7 @@ int main(int argc, char** argv) {
   bench::print_preamble("Table IV — over-allocate ratio with dynamic replication, soft RT",
                         "R_OA, 256 users", args);
 
-  const std::size_t users =
-      static_cast<std::size_t>(args.cfg.get_int("users", args.quick ? 128 : 256));
+  const std::size_t users = args.cfg.get_count("users", args.quick ? 128 : 256);
   const double paper[4][5] = {{24.60, 9.77, 9.79, 9.54, 10.01},
                               {16.60, 1.44, 1.30, 2.86, 2.46},
                               {15.67, 1.50, 1.47, 1.63, 2.40},

@@ -8,8 +8,7 @@ int main(int argc, char** argv) {
   bench::print_preamble("Table V — fail rate with dynamic replication, firm RT",
                         "failed opens / total opens, 256 users", args);
 
-  const std::size_t users =
-      static_cast<std::size_t>(args.cfg.get_int("users", args.quick ? 128 : 256));
+  const std::size_t users = args.cfg.get_count("users", args.quick ? 128 : 256);
   const double paper[4][2] = {{15.62, 11.10}, {3.05, 1.20}, {3.50, 1.17}, {2.28, 1.50}};
 
   const std::vector<core::PolicyWeights> policies{core::PolicyWeights::random(),

@@ -8,8 +8,7 @@ int main(int argc, char** argv) {
   bench::print_preamble("Table VI — Rep(1,3) destination selection, soft RT",
                         "R_OA, 256 users", args);
 
-  const std::size_t users =
-      static_cast<std::size_t>(args.cfg.get_int("users", args.quick ? 128 : 256));
+  const std::size_t users = args.cfg.get_count("users", args.quick ? 128 : 256);
   const double paper[3][2] = {{13.37, 2.17}, {10.41, 1.47}, {10.39, 1.28}};
 
   const std::vector<core::PolicyWeights> policies{core::PolicyWeights::random(),

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", known.to_string().c_str());
     return 1;
   }
-  const auto users = static_cast<std::size_t>(cfg.get_int("users", 192));
+  const auto users = cfg.get_count("users", 192);
   const double interval_s = cfg.get_double("interval", 900.0);
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
 

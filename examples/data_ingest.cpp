@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", known.to_string().c_str());
     return 1;
   }
-  const int objects = static_cast<int>(cfg.get_int("objects", 12));
-  const int consumers = static_cast<int>(cfg.get_int("consumers", 20));
-  const auto replicas = static_cast<std::size_t>(cfg.get_int("replicas", 2));
+  const int objects = static_cast<int>(cfg.get_count("objects", 12));
+  const int consumers = static_cast<int>(cfg.get_count("consumers", 20));
+  const auto replicas = cfg.get_count("replicas", 2);
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
 
   // Paper topology; 100 pre-existing videos for the consumers.

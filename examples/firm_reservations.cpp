@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", known.to_string().c_str());
     return 1;
   }
-  const int requests = static_cast<int>(cfg.get_int("requests", 60));
-  const int max_retries = static_cast<int>(cfg.get_int("max_retries", 5));
+  const int requests = static_cast<int>(cfg.get_count("requests", 60));
+  const int max_retries = static_cast<int>(cfg.get_count("max_retries", 5));
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
 
   Rng rng{seed};

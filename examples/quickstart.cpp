@@ -27,15 +27,19 @@ int main(int argc, char** argv) {
   }
 
   exp::ExperimentParams params;
-  params.users = static_cast<std::size_t>(cfg.get_int("users", 64));
-  params.mode = cfg.get_string("mode", "firm") == "soft" ? core::AllocationMode::kSoft
-                                                         : core::AllocationMode::kFirm;
+  params.users = cfg.get_count("users", 64);
+  const std::string mode = cfg.get_string("mode", "firm");
+  if (mode != "firm" && mode != "soft") {
+    std::fprintf(stderr, "unknown mode '%s' (firm|soft)\n", mode.c_str());
+    return 1;
+  }
+  params.mode = mode == "soft" ? core::AllocationMode::kSoft : core::AllocationMode::kFirm;
   params.policy = core::PolicyWeights::p100();
   params.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
   if (cfg.get_bool("replication", false)) {
     params.replication = core::ReplicationConfig::rep(
-        static_cast<std::uint32_t>(cfg.get_int("nrep", 1)),
-        static_cast<std::uint32_t>(cfg.get_int("nmaxr", 3)));
+        static_cast<std::uint32_t>(cfg.get_count("nrep", 1)),
+        static_cast<std::uint32_t>(cfg.get_count("nmaxr", 3)));
   }
   if (cfg.get_bool("random_policy", false)) params.policy = core::PolicyWeights::random();
   params.catalog.bitrate_median_mbps =

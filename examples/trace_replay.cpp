@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", known.to_string().c_str());
     return 1;
   }
-  const auto users = static_cast<std::size_t>(cfg.get_int("users", 192));
+  const auto users = cfg.get_count("users", 192);
   const std::string path = cfg.get_string("trace", "/tmp/sqos_demo.trace");
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
 

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool replication = cfg.get_bool("replication", true);
-  const int viewers = static_cast<int>(cfg.get_int("viewers", 120));
+  const int viewers = static_cast<int>(cfg.get_count("viewers", 120));
   const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
 
   // 1. Build the paper's 16-RM topology with a 200-video catalog.

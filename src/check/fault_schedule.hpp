@@ -20,7 +20,6 @@
 #include "dfs/cluster.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::check {
 
@@ -46,7 +45,7 @@ struct FaultAction {
   [[nodiscard]] std::string to_string() const;
 };
 
-class SQOS_DOMAIN(global) FaultSchedule {
+class FaultSchedule {
  public:
   FaultSchedule() = default;
 

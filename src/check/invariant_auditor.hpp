@@ -43,11 +43,10 @@
 
 #include "check/invariant.hpp"
 #include "dfs/cluster.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::check {
 
-class SQOS_DOMAIN(global) InvariantAuditor {
+class InvariantAuditor {
  public:
   struct Options {
     /// Enforce the firm no-over-allocation law. Only valid while every

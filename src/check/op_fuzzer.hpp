@@ -23,7 +23,6 @@
 #include "dfs/cluster.hpp"
 #include "storage/stripe_layout.hpp"
 #include "util/sim_time.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::check {
 
@@ -114,7 +113,7 @@ struct [[nodiscard]] FuzzResult {
   [[nodiscard]] std::string report() const;
 };
 
-class SQOS_DOMAIN(global) OpFuzzer {
+class OpFuzzer {
  public:
   explicit OpFuzzer(FuzzOptions options) : options_{options} {}
 

@@ -10,11 +10,10 @@
 #include <cstdint>
 #include <utility>
 #include <vector>
-#include "util/domain.hpp"
 
 namespace sqos::core {
 
-class SQOS_DOMAIN(owner) FileHeat {
+class FileHeat {
  public:
   /// One access to `file` was served.
   void record_access(std::uint64_t file);

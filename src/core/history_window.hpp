@@ -12,7 +12,6 @@
 
 #include "util/sim_time.hpp"
 #include "util/units.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::core {
 
@@ -36,7 +35,7 @@ struct HistoryParams {
   SimTime expiry = SimTime::seconds(60.0);
 };
 
-class SQOS_DOMAIN(owner) TwoQueueHistory {
+class TwoQueueHistory {
  public:
   using Params = HistoryParams;
 

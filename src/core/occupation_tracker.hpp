@@ -11,11 +11,10 @@
 #include <cstddef>
 
 #include "util/sim_time.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::core {
 
-class SQOS_DOMAIN(owner) OccupationTracker {
+class OccupationTracker {
  public:
   /// A file replica with occupation time `t_ocp` was placed on this RM.
   void add_file(SimTime t_ocp);

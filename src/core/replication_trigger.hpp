@@ -10,12 +10,11 @@
 #include "core/replication_config.hpp"
 #include "util/sim_time.hpp"
 #include "util/units.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::core {
 
 /// Per-RM replication trigger state machine.
-class SQOS_DOMAIN(owner) ReplicationTrigger {
+class ReplicationTrigger {
  public:
   explicit ReplicationTrigger(const ReplicationConfig& config) : cfg_{&config} {}
 

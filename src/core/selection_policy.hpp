@@ -14,7 +14,6 @@
 #include "core/bid.hpp"
 #include "core/selection_tree.hpp"
 #include "util/rng.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::core {
 
@@ -37,7 +36,7 @@ struct PolicyWeights {
   }
 };
 
-class SQOS_DOMAIN(owner) SelectionPolicy {
+class SelectionPolicy {
  public:
   explicit SelectionPolicy(PolicyWeights weights) : w_{weights} {}
 

@@ -27,11 +27,10 @@
 #include <limits>
 #include <span>
 #include <vector>
-#include "util/domain.hpp"
 
 namespace sqos::core {
 
-class SQOS_DOMAIN(owner) SelectionTree {
+class SelectionTree {
  public:
   /// Sentinel slot id: "no active slot".
   static constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();

@@ -24,11 +24,10 @@
 #include "sim/simulator.hpp"
 #include "storage/block_device.hpp"
 #include "util/error.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::dfs {
 
-class SQOS_DOMAIN(global) Cluster {
+class Cluster {
  public:
   /// Validate the configuration and construct all components. The returned
   /// cluster is fully wired; call start() to schedule the registration
@@ -56,21 +55,21 @@ class SQOS_DOMAIN(global) Cluster {
   void start_qos_controller(SimTime until);
 
   /// Place a static replica on an RM (bootstrap; no protocol traffic).
-  SQOS_SETUP [[nodiscard]] Status place_replica(std::size_t rm_index, FileId file);
+  [[nodiscard]] Status place_replica(std::size_t rm_index, FileId file);
 
   /// Place one EC shard (packed shard key) on an RM during initial stripe
   /// placement: stores the shard bytes and bootstraps the MM stripe entry.
-  SQOS_SETUP [[nodiscard]] Status place_shard(std::size_t rm_index, FileId shard_key);
+  [[nodiscard]] Status place_shard(std::size_t rm_index, FileId shard_key);
 
   /// Place the whole EC(k, m) stripe of `file`: shard i lands on rms[i]
   /// (rms.size() must equal k + m; distinct RMs give the anti-affinity the
   /// degraded-read guarantee relies on).
-  SQOS_SETUP [[nodiscard]] Status place_stripe(FileId file, std::uint8_t k, std::uint8_t m,
-                                               const std::vector<std::size_t>& rms);
+  [[nodiscard]] Status place_stripe(FileId file, std::uint8_t k, std::uint8_t m,
+                                    const std::vector<std::size_t>& rms);
 
   /// Register a new file in the namespace (write path); the data lands via
   /// DfsClient::write_file. Fails on duplicate id or name.
-  SQOS_EXCHANGE [[nodiscard]] Status add_file(FileMeta meta) { return directory_.add(std::move(meta)); }
+  [[nodiscard]] Status add_file(FileMeta meta) { return directory_.add(std::move(meta)); }
 
   // --- failure injection -------------------------------------------------------
 
@@ -124,12 +123,12 @@ class SQOS_DOMAIN(global) Cluster {
   /// function of the configuration. Call before start() to capture the
   /// registration protocol. Pass-by-reference: the recorder must outlive the
   /// cluster (or be detached by attaching another).
-  SQOS_SETUP void attach_observability(obs::Recorder& recorder);
+  void attach_observability(obs::Recorder& recorder);
 
  private:
   Cluster(ClusterConfig config, FileDirectory directory);
 
-  SQOS_SETUP [[nodiscard]] Status construct();
+  [[nodiscard]] Status construct();
 
   ClusterConfig config_;
   FileDirectory directory_;

@@ -7,7 +7,6 @@
 #include "obs/recorder.hpp"
 #include "qos/qos_manager.hpp"
 #include "util/logging.hpp"
-#include "util/domain_guard.hpp"
 
 namespace sqos::dfs {
 
@@ -28,7 +27,6 @@ ResourceManager* DfsClient::rm_by_node(net::NodeId id) const {
 }
 
 void DfsClient::stream_file(FileId file, Callback done) {
-  SQOS_DOMAIN_SCOPE(domain_tag());
   if (params_.layout.is_ec()) {
     stream_striped(file, std::move(done));
     return;
@@ -43,7 +41,6 @@ void DfsClient::stream_file(FileId file, Callback done) {
 }
 
 void DfsClient::open(FileId file, std::function<void(Result<std::uint64_t>)> opened) {
-  SQOS_DOMAIN_SCOPE(domain_tag());
   if (params_.qos != nullptr) params_.qos->on_request(params_.tenant, directory_.get(file).size);
   OpenContext ctx;
   ctx.file = file;
@@ -54,7 +51,6 @@ void DfsClient::open(FileId file, std::function<void(Result<std::uint64_t>)> ope
 }
 
 void DfsClient::open_write(FileId file, std::function<void(Result<std::uint64_t>)> opened) {
-  SQOS_DOMAIN_SCOPE(domain_tag());
   if (params_.qos != nullptr) params_.qos->on_request(params_.tenant, directory_.get(file).size);
   OpenContext ctx;
   ctx.file = file;
@@ -73,7 +69,6 @@ void DfsClient::open_write(FileId file, std::function<void(Result<std::uint64_t>
 }
 
 void DfsClient::write_file(FileId file, std::size_t replicas, Callback done) {
-  SQOS_DOMAIN_SCOPE(domain_tag());
   ++counters_.writes_attempted;
   const FileMeta& meta = directory_.get(file);
   if (params_.qos != nullptr) params_.qos->on_request(params_.tenant, meta.size);

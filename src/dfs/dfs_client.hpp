@@ -30,8 +30,6 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/small_map.hpp"
-#include "util/domain.hpp"
-#include "util/domain_guard.hpp"
 
 namespace sqos::obs {
 struct Recorder;
@@ -43,7 +41,7 @@ class QosManager;
 
 namespace sqos::dfs {
 
-class SQOS_DOMAIN(client) DfsClient {
+class DfsClient {
  public:
   enum class Negotiation : std::uint8_t { kEcnp, kCnp };
 
@@ -101,11 +99,6 @@ class SQOS_DOMAIN(client) DfsClient {
 
   [[nodiscard]] net::NodeId node_id() const { return id_; }
 
-  /// Shard identity for the DomainGuard dynamic checker (the dense
-  /// fabric NodeId doubles as the shard index).
-  [[nodiscard]] util::DomainTag domain_tag() const {
-    return util::DomainTag::client(id_.value());
-  }
   [[nodiscard]] const std::string& name() const { return params_.name; }
   [[nodiscard]] const Params& params() const { return params_; }
 
@@ -301,8 +294,9 @@ class SQOS_DOMAIN(client) DfsClient {
   void send_release(std::uint64_t session);
   void on_release_ack(std::uint64_t session);
 
-  // Flat small maps, not unordered_map: a client has a handful of in-flight
-  // entries but fields lookups on every delivered message (util/small_map.hpp).
+  // Flat maps, not unordered_map: every delivered message looks one up. They
+  // are not small: util/small_map.hpp records the measured sizes per lookup
+  // (74 entries on average on bench/e2e scale-2048, 148 at most).
   util::SmallU64Map<OpenContext> opens_;
   util::SmallU64Map<WriteContext> writes_;
   util::SmallU64Map<EcReadContext> ec_reads_;

@@ -13,7 +13,6 @@
 #include "util/error.hpp"
 #include "util/sim_time.hpp"
 #include "util/units.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::dfs {
 
@@ -34,7 +33,7 @@ struct FileMeta {
 /// (occupation times) and the clients (B_req lookup on open). Grows when
 /// clients create files through the write path; existing entries are
 /// immutable.
-class SQOS_DOMAIN(global) FileDirectory {
+class FileDirectory {
  public:
   FileDirectory() = default;
   explicit FileDirectory(std::vector<FileMeta> files);

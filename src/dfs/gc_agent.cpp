@@ -1,7 +1,6 @@
 #include "dfs/gc_agent.hpp"
 
 #include "util/logging.hpp"
-#include "util/domain_guard.hpp"
 
 namespace sqos::dfs {
 
@@ -12,7 +11,6 @@ void GarbageCollector::start(SimTime until) {
 }
 
 void GarbageCollector::scan_once() {
-  SQOS_DOMAIN_SCOPE(util::DomainTag::global());
   ++counters_.scans;
   for (ResourceManager* rm : rms_) {
     if (rm->is_online()) scan_rm(*rm);

@@ -16,11 +16,10 @@
 #include "dfs/resource_manager.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::dfs {
 
-class SQOS_DOMAIN(global) GarbageCollector {
+class GarbageCollector {
  public:
   GarbageCollector(sim::Simulator& simulator, net::Network& network, MetadataDirectory& mm,
                    const core::DeletionConfig& config)
@@ -29,7 +28,7 @@ class SQOS_DOMAIN(global) GarbageCollector {
   GarbageCollector(const GarbageCollector&) = delete;
   GarbageCollector& operator=(const GarbageCollector&) = delete;
 
-  SQOS_SETUP void attach_rms(std::vector<ResourceManager*> rms) { rms_ = std::move(rms); }
+  void attach_rms(std::vector<ResourceManager*> rms) { rms_ = std::move(rms); }
 
   /// Schedule periodic scans from now until `until`. No-op when disabled.
   void start(SimTime until);

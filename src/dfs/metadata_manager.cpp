@@ -5,12 +5,10 @@
 
 #include "obs/recorder.hpp"
 #include "util/logging.hpp"
-#include "util/domain_guard.hpp"
 
 namespace sqos::dfs {
 
 void MetadataManager::handle_register(const RegisterMsg& msg) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   const auto it = rm_index_.find(msg.rm);
   if (it != rm_index_.end()) {
     Log::warn("MM: RM %s re-registered; resetting its resource entry",
@@ -20,7 +18,6 @@ void MetadataManager::handle_register(const RegisterMsg& msg) {
 }
 
 void MetadataManager::handle_resource_update(const RegisterMsg& msg) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   ++counters_.registrations;
   if (obs_ != nullptr) {
     obs_->trace.instant(
@@ -74,7 +71,6 @@ const std::shared_ptr<const RmCatalogSnapshot>& MetadataManager::catalog() {
 }
 
 ResourceReplyMsg MetadataManager::handle_resource_query(FileId file) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   ++counters_.resource_queries;
   ResourceReplyMsg reply;
   reply.file = file;
@@ -83,7 +79,6 @@ ResourceReplyMsg MetadataManager::handle_resource_query(FileId file) {
 }
 
 ReplicaListReplyMsg MetadataManager::handle_replica_list_query(FileId file) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   ++counters_.replica_list_queries;
   ReplicaListReplyMsg reply;
   reply.file = file;
@@ -129,7 +124,6 @@ ReplicaListReplyMsg MetadataManager::handle_replica_list_query(FileId file) {
 }
 
 LayoutReplyMsg MetadataManager::handle_stripe_query(FileId file) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   ++counters_.stripe_queries;
   LayoutReplyMsg reply;
   reply.file = file;
@@ -153,7 +147,6 @@ LayoutReplyMsg MetadataManager::handle_stripe_query(FileId file) {
 }
 
 void MetadataManager::handle_replication_done(const ReplicationDoneMsg& msg) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   ++counters_.replication_done;
   assert(is_registered(msg.rm));
   if (storage::shard_key::is_shard(msg.file)) {
@@ -170,7 +163,6 @@ void MetadataManager::handle_replication_done(const ReplicationDoneMsg& msg) {
 }
 
 void MetadataManager::handle_replica_delete(const ReplicaDeleteMsg& msg) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   ++counters_.replica_deletes;
   if (obs_ != nullptr) {
     obs_->trace.instant(obs_track_, "replica_deleted", "mm",
@@ -197,7 +189,6 @@ void MetadataManager::handle_replica_delete(const ReplicaDeleteMsg& msg) {
 }
 
 DeleteReplyMsg MetadataManager::handle_delete_request(const DeleteRequestMsg& msg) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   ++counters_.delete_requests;
   DeleteReplyMsg reply;
   reply.file = msg.file;

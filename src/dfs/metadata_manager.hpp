@@ -23,7 +23,6 @@
 #include "net/node_id.hpp"
 #include "storage/stripe_layout.hpp"
 #include "util/units.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::obs {
 struct Recorder;
@@ -31,7 +30,7 @@ struct Recorder;
 
 namespace sqos::dfs {
 
-class SQOS_DOMAIN(global) MetadataManager {
+class MetadataManager {
  public:
   explicit MetadataManager(net::NodeId id) : id_{id} {}
 
@@ -90,34 +89,34 @@ class SQOS_DOMAIN(global) MetadataManager {
 
   /// RM registration. Maintains global-resource-list integrity: re-registering
   /// the same RM replaces its previous entry and replica set.
-  SQOS_EXCHANGE void handle_register(const RegisterMsg& msg);
+  void handle_register(const RegisterMsg& msg);
 
   /// Periodic resource refresh (anti-entropy): identical to re-registration
   /// but expected — it reconciles the MM's view with the RM's disk truth
   /// after lost commit/delete messages, without the re-registration warning.
-  SQOS_EXCHANGE void handle_resource_update(const RegisterMsg& msg);
+  void handle_resource_update(const RegisterMsg& msg);
 
   /// DFSC resource query: the replica holders of `file`.
-  SQOS_EXCHANGE [[nodiscard]] ResourceReplyMsg handle_resource_query(FileId file);
+  [[nodiscard]] ResourceReplyMsg handle_resource_query(FileId file);
 
   /// Replication-source query: registered RMs holding no replica of `file`,
   /// plus the current replica count N_CUR.
-  SQOS_EXCHANGE [[nodiscard]] ReplicaListReplyMsg handle_replica_list_query(FileId file);
+  [[nodiscard]] ReplicaListReplyMsg handle_replica_list_query(FileId file);
 
-  SQOS_EXCHANGE void handle_replication_done(const ReplicationDoneMsg& msg);
-  SQOS_EXCHANGE void handle_replica_delete(const ReplicaDeleteMsg& msg);
+  void handle_replication_done(const ReplicationDoneMsg& msg);
+  void handle_replica_delete(const ReplicaDeleteMsg& msg);
 
   /// DFSC layout query (EC read path): the stripe shape and per-shard
   /// holders of `file`, or (k == 0) the whole-file holders, so
   /// replication-layout files need no second round trip.
-  SQOS_EXCHANGE [[nodiscard]] LayoutReplyMsg handle_stripe_query(FileId file);
+  [[nodiscard]] LayoutReplyMsg handle_stripe_query(FileId file);
 
   /// GC arbitration (§III.B deletion): approve dropping the requester's
   /// replica only while the file would keep more than `min_replicas` copies
   /// and the requester actually holds one. Approval removes the replica from
   /// the global map atomically, so concurrent requests cannot both win the
   /// same slot.
-  SQOS_EXCHANGE [[nodiscard]] DeleteReplyMsg handle_delete_request(const DeleteRequestMsg& msg);
+  [[nodiscard]] DeleteReplyMsg handle_delete_request(const DeleteRequestMsg& msg);
 
   /// GC pre-filter: the files for which `rm` holds a replica while the
   /// system-wide count exceeds `floor` (sorted for determinism). One query

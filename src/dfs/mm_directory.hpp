@@ -17,11 +17,10 @@
 
 #include "dfs/metadata_manager.hpp"
 #include "net/network.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::dfs {
 
-class SQOS_DOMAIN(global) MetadataDirectory {
+class MetadataDirectory {
  public:
   /// Creates `shards` MM instances (registering their nodes on the fabric)
   /// and a ring with `virtual_nodes` points per shard.
@@ -33,7 +32,7 @@ class SQOS_DOMAIN(global) MetadataDirectory {
   // --- routing ---------------------------------------------------------------
 
   /// The shard owning `file` on the consistent-hash ring.
-  SQOS_EXCHANGE [[nodiscard]] MetadataManager& shard_for(FileId file);
+  [[nodiscard]] MetadataManager& shard_for(FileId file);
   [[nodiscard]] net::NodeId node_for(FileId file) const;
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }

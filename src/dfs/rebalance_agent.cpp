@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "obs/recorder.hpp"
-#include "util/domain_guard.hpp"
 #include "util/logging.hpp"
 
 namespace sqos::dfs {
@@ -23,7 +22,6 @@ ResourceManager* RebalanceAgent::rm_by_node(net::NodeId id) const {
 }
 
 void RebalanceAgent::drain(ResourceManager& source, DrainCallback done) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   ++counters_.drains_started;
   auto drain_state = std::make_shared<Drain>();
   drain_state->source = &source;
@@ -40,7 +38,6 @@ void RebalanceAgent::drain(ResourceManager& source, DrainCallback done) {
 }
 
 bool RebalanceAgent::rebalance_once() {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   if (rm_index_ == nullptr) return false;
   // Fullest and emptiest online RMs by used bytes, index order breaking ties
   // — a deterministic scan over the registration-ordered node table.

@@ -28,12 +28,11 @@
 #include "dfs/rm_index.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "util/domain.hpp"
 #include "util/rng.hpp"
 
 namespace sqos::dfs {
 
-class SQOS_DOMAIN(global) RebalanceAgent {
+class RebalanceAgent {
  public:
   RebalanceAgent(sim::Simulator& simulator, net::Network& network, MetadataDirectory& mm,
                  const FileDirectory& directory, const core::ReplicationConfig& config, Rng rng);
@@ -42,7 +41,7 @@ class SQOS_DOMAIN(global) RebalanceAgent {
   RebalanceAgent& operator=(const RebalanceAgent&) = delete;
 
   /// Wire the cluster's shared RM index (destination NodeId -> component).
-  SQOS_SETUP void attach_rms(const RmIndex& rms) { rm_index_ = &rms; }
+  void attach_rms(const RmIndex& rms) { rm_index_ = &rms; }
 
   /// Fires when a drain finishes: how many keys moved and how many could
   /// not (no destination, rejections, crashes).
@@ -51,12 +50,12 @@ class SQOS_DOMAIN(global) RebalanceAgent {
   /// Migrate every key stored on `source` to other RMs, one at a time on
   /// the replication lane, then fire `done`. A source crash mid-drain ends
   /// the drain (remaining keys count as failed).
-  SQOS_EXCHANGE void drain(ResourceManager& source, DrainCallback done = {});
+  void drain(ResourceManager& source, DrainCallback done = {});
 
   /// One steady-state balancing step: move one key off the fullest online
   /// RM (by used bytes; ties break on the lower index) when some other RM
   /// sits below it. Returns true when a migration was started.
-  SQOS_EXCHANGE bool rebalance_once();
+  bool rebalance_once();
 
   struct Counters {
     std::uint64_t drains_started = 0;

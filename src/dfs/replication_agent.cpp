@@ -6,7 +6,6 @@
 #include "core/replication_planner.hpp"
 #include "obs/recorder.hpp"
 #include "util/logging.hpp"
-#include "util/domain_guard.hpp"
 
 namespace sqos::dfs {
 
@@ -34,7 +33,6 @@ ResourceManager* ReplicationAgent::rm_by_node(net::NodeId id) const {
 }
 
 void ReplicationAgent::maybe_trigger(ResourceManager& source) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   if (!cfg_.enabled) return;
   if (!source.trigger().should_trigger(sim_.now(), source.remaining(), source.cap())) return;
   start_round(source);

@@ -22,11 +22,10 @@
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::dfs {
 
-class SQOS_DOMAIN(global) ReplicationAgent {
+class ReplicationAgent {
  public:
   ReplicationAgent(sim::Simulator& simulator, net::Network& network, MetadataDirectory& mm,
                    const FileDirectory& directory, const core::ReplicationConfig& config,
@@ -37,11 +36,11 @@ class SQOS_DOMAIN(global) ReplicationAgent {
 
   /// Wire the cluster's shared RM index (needed to resolve destination
   /// NodeIds to components) and register this agent with every RM.
-  SQOS_SETUP void attach_rms(const RmIndex& rms);
+  void attach_rms(const RmIndex& rms);
 
   /// Called by an RM after it served a data request; evaluates the trigger
   /// and starts a replication round when it fires.
-  SQOS_EXCHANGE void maybe_trigger(ResourceManager& source);
+  void maybe_trigger(ResourceManager& source);
 
   struct Counters {
     std::uint64_t rounds_started = 0;

@@ -10,7 +10,6 @@
 #include "obs/recorder.hpp"
 #include "qos/qos_manager.hpp"
 #include "util/logging.hpp"
-#include "util/domain_guard.hpp"
 
 namespace sqos::dfs {
 
@@ -32,7 +31,6 @@ ResourceManager::ResourceManager(net::NodeId id, Params params, storage::Throttl
       nominal_cap_{group.cap()} {}
 
 void ResourceManager::throttle_disk(double factor) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   assert(factor > 0.0 && factor <= 1.0);
   const Bandwidth cap = nominal_cap_ * factor;
   group_.set_cap(cap);
@@ -72,7 +70,6 @@ Status ResourceManager::place_replica(FileId file) {
 }
 
 BidMsg ResourceManager::handle_cfp(const CfpMsg& msg) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   ++counters_.cfps_answered;
   const ResolvedFile meta = resolve(msg.file);
   const SimTime now = sim_.now();
@@ -101,7 +98,6 @@ BidMsg ResourceManager::handle_cfp(const CfpMsg& msg) {
 }
 
 void ResourceManager::sync_ledger() {
-  SQOS_DOMAIN_ASSERT_WRITE(domain_tag());
   ledger_.on_allocation_change(sim_.now(), allocated());
   // Every allocation change passes through here, so this one counter line
   // yields the complete per-RM allocated-bandwidth series in the trace.
@@ -110,7 +106,6 @@ void ResourceManager::sync_ledger() {
 
 bool ResourceManager::handle_data_request(net::NodeId client, const DataRequestMsg& msg,
                                           std::function<void(const DataCompleteMsg&)> deliver_complete) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   ++counters_.data_requests;
   const ResolvedFile meta = resolve(msg.file);
   const SimTime now = sim_.now();
@@ -244,7 +239,6 @@ bool ResourceManager::handle_data_request(net::NodeId client, const DataRequestM
 }
 
 void ResourceManager::handle_release(net::NodeId client, const ReleaseMsg& msg) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   ++counters_.releases;
   const auto it = sessions_.find(session_key(client, msg.open_id));
   if (it == sessions_.end()) {
@@ -293,7 +287,6 @@ void ResourceManager::handle_release(net::NodeId client, const ReleaseMsg& msg) 
 
 ReplicationResponseMsg ResourceManager::handle_replication_request(
     const ReplicationRequestMsg& msg) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   ++counters_.replication_requests;
   ReplicationResponseMsg response;
   response.transfer_id = msg.transfer_id;
@@ -315,22 +308,18 @@ ReplicationResponseMsg ResourceManager::handle_replication_request(
 }
 
 storage::FlowId ResourceManager::begin_replication_out(FileId file, Bandwidth speed) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   return replication_lane_.add(storage::FlowKind::kReplicationOut, file, speed, sim_.now());
 }
 
 void ResourceManager::end_replication_out(storage::FlowId flow) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   replication_lane_.remove(flow);
 }
 
 storage::FlowId ResourceManager::begin_replication_in(FileId file, Bandwidth speed) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   return replication_lane_.add(storage::FlowKind::kReplicationIn, file, speed, sim_.now());
 }
 
 Status ResourceManager::finish_replication_in(storage::FlowId flow, FileId file) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   replication_lane_.remove(flow);
   pending_incoming_.erase(file);
   trigger_.end_destination();
@@ -347,20 +336,17 @@ Status ResourceManager::finish_replication_in(storage::FlowId flow, FileId file)
 }
 
 void ResourceManager::abort_replication_in(storage::FlowId flow, FileId file) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   replication_lane_.remove(flow);
   pending_incoming_.erase(file);
   trigger_.end_destination();
 }
 
 void ResourceManager::cancel_pending_replication(FileId file) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   pending_incoming_.erase(file);
   trigger_.end_destination();
 }
 
 Status ResourceManager::delete_replica(FileId file) {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   const Status s = disk_.remove(file);
   if (!s.is_ok()) return s;
   occupancy_.remove_file(resolve(file).duration);
@@ -372,7 +358,6 @@ Status ResourceManager::delete_replica(FileId file) {
 }
 
 void ResourceManager::fail() {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   online_ = false;
   ++epoch_;
   if (obs_ != nullptr) {
@@ -402,7 +387,6 @@ void ResourceManager::fail() {
 }
 
 void ResourceManager::recover() {
-  SQOS_EXCHANGE_SCOPE(domain_tag());
   online_ = true;
   if (obs_ != nullptr) obs_->trace.instant(obs_track_, "recover", "fault");
 }

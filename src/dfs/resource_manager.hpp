@@ -28,8 +28,6 @@
 #include "storage/stripe_layout.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/domain.hpp"
-#include "util/domain_guard.hpp"
 
 namespace sqos::obs {
 struct Recorder;
@@ -43,7 +41,7 @@ namespace sqos::dfs {
 
 class ReplicationAgent;
 
-class SQOS_DOMAIN(rm) ResourceManager {
+class ResourceManager {
  public:
   struct Params {
     std::string name;                 // "RM1" .. "RM16"
@@ -62,11 +60,6 @@ class SQOS_DOMAIN(rm) ResourceManager {
 
   [[nodiscard]] net::NodeId node_id() const { return id_; }
 
-  /// Shard identity for the DomainGuard dynamic checker (the dense
-  /// fabric NodeId doubles as the shard index).
-  [[nodiscard]] util::DomainTag domain_tag() const {
-    return util::DomainTag::rm(id_.value());
-  }
   [[nodiscard]] bool is_online() const { return online_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] const std::string& name() const { return params_.name; }
@@ -90,48 +83,47 @@ class SQOS_DOMAIN(rm) ResourceManager {
 
   /// Answer a CFP with a bid. In this ECNP variant the RM always responds;
   /// has_file is false when it holds no replica (plain-CNP broadcast case).
-  SQOS_EXCHANGE [[nodiscard]] BidMsg handle_cfp(const CfpMsg& msg);
+  [[nodiscard]] BidMsg handle_cfp(const CfpMsg& msg);
 
   /// Start the data-communication phase. Returns false when firm-mode
   /// admission rejects (allocation would exceed the cap); the caller-provided
   /// `deliver_complete` is sent over the network either immediately (reject,
   /// or explicit-session ack) or when the streamed transfer finishes.
-  SQOS_EXCHANGE bool handle_data_request(net::NodeId client, const DataRequestMsg& msg,
+  bool handle_data_request(net::NodeId client, const DataRequestMsg& msg,
                            std::function<void(const DataCompleteMsg&)> deliver_complete);
 
   /// End an explicit (VFS) session.
-  SQOS_EXCHANGE void handle_release(net::NodeId client, const ReleaseMsg& msg);
+  void handle_release(net::NodeId client, const ReleaseMsg& msg);
 
   // --- replication endpoints ---------------------------------------------------
 
   /// Destination-side admission (§V): applies the paper's three rejection
   /// rules plus disk-capacity and pending-transfer checks.
-  SQOS_EXCHANGE [[nodiscard]] ReplicationResponseMsg handle_replication_request(
-      const ReplicationRequestMsg& msg);
+  [[nodiscard]] ReplicationResponseMsg handle_replication_request(const ReplicationRequestMsg& msg);
 
   /// Source side: begin shipping one copy. Replication transfers run on the
   /// RM's reserved replication lane (B_REV, §V) — a bandwidth budget outside
   /// the stream-allocation group, so migration traffic never competes with
   /// assured QoS flows (the paper's blkio isolation applied to replication).
-  SQOS_EXCHANGE [[nodiscard]] storage::FlowId begin_replication_out(FileId file, Bandwidth speed);
-  SQOS_EXCHANGE void end_replication_out(storage::FlowId flow);
+  [[nodiscard]] storage::FlowId begin_replication_out(FileId file, Bandwidth speed);
+  void end_replication_out(storage::FlowId flow);
 
   /// Destination side: the incoming copy's flow (admission already accepted).
-  SQOS_EXCHANGE [[nodiscard]] storage::FlowId begin_replication_in(FileId file, Bandwidth speed);
+  [[nodiscard]] storage::FlowId begin_replication_in(FileId file, Bandwidth speed);
 
   /// Destination side: copy landed — store the replica, clear pending state.
-  SQOS_EXCHANGE [[nodiscard]] Status finish_replication_in(storage::FlowId flow, FileId file);
+  [[nodiscard]] Status finish_replication_in(storage::FlowId flow, FileId file);
 
   /// Destination side: the source aborted an in-flight copy; remove the flow
   /// and roll back pending state.
-  SQOS_EXCHANGE void abort_replication_in(storage::FlowId flow, FileId file);
+  void abort_replication_in(storage::FlowId flow, FileId file);
 
   /// Destination side: the source aborted before the copy started (accepted
   /// request whose transfer never began); roll back pending state only.
-  SQOS_EXCHANGE void cancel_pending_replication(FileId file);
+  void cancel_pending_replication(FileId file);
 
   /// Source side: over-bound self-delete (§V) — remove own replica.
-  SQOS_EXCHANGE [[nodiscard]] Status delete_replica(FileId file);
+  [[nodiscard]] Status delete_replica(FileId file);
 
   // --- QoS state ---------------------------------------------------------------
 
@@ -178,7 +170,7 @@ class SQOS_DOMAIN(rm) ResourceManager {
   /// dispatched bandwidth (factor in (0, 1]). Allocations admitted under the
   /// old cap persist — firm admission can legitimately sit above the degraded
   /// cap, which the ledger records as over-allocation (R_OA > 0, §VI.A.1).
-  SQOS_EXCHANGE void throttle_disk(double factor);
+  void throttle_disk(double factor);
 
   /// Restore the nominal dispatched bandwidth after a slow-disk window.
   void restore_disk() { throttle_disk(1.0); }
@@ -194,10 +186,10 @@ class SQOS_DOMAIN(rm) ResourceManager {
   /// contents survive, like a host reboot. In-flight completions observe the
   /// epoch change and report the streams as aborted. Messages delivered to
   /// an offline RM are dropped by the senders' delivery closures.
-  SQOS_EXCHANGE void fail();
+  void fail();
 
   /// Bring the RM back online (the caller re-registers it with the MM).
-  SQOS_EXCHANGE void recover();
+  void recover();
 
   struct Counters {
     std::uint64_t cfps_answered = 0;

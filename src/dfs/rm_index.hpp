@@ -12,17 +12,16 @@
 #include <vector>
 
 #include "net/node_id.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::dfs {
 
 class ResourceManager;
 
-class SQOS_DOMAIN(global) RmIndex {
+class RmIndex {
  public:
   /// Register one RM (construction order defines nodes() order, which is the
   /// CNP broadcast order — identical to the old per-client vector).
-  SQOS_SETUP void add(net::NodeId id, ResourceManager* rm) {
+  void add(net::NodeId id, ResourceManager* rm) {
     if (slots_.size() <= id.value()) slots_.resize(id.value() + 1, nullptr);
     slots_[id.value()] = rm;
     nodes_.push_back(id);

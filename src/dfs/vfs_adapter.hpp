@@ -17,13 +17,12 @@
 #include "dfs/file_types.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::dfs {
 
 class Cluster;
 
-class SQOS_DOMAIN(client) VfsAdapter {
+class VfsAdapter {
  public:
   VfsAdapter(DfsClient& client, MetadataDirectory& mm, const FileDirectory& directory,
              sim::Simulator& simulator)

@@ -25,7 +25,6 @@
 #include "net/node_id.hpp"
 #include "sim/simulator.hpp"
 #include "util/units.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::net {
 
@@ -44,7 +43,7 @@ struct TrafficStats {
   }
 };
 
-class SQOS_DOMAIN(global) Network {
+class Network {
  public:
   /// Sends whose per-node accounting is logged before it is folded into the
   /// per-node tables (32 B of log per send: 128 KiB at most).
@@ -57,14 +56,13 @@ class SQOS_DOMAIN(global) Network {
   Network& operator=(const Network&) = delete;
 
   /// Register an endpoint; `name` is for diagnostics only.
-  SQOS_SETUP [[nodiscard]] NodeId register_node(std::string name);
+  [[nodiscard]] NodeId register_node(std::string name);
 
   /// Send a control message. `on_deliver` runs at the receiver after the
   /// sampled latency; it typically captures the typed payload and calls the
   /// receiving component's handler. Messages on a partitioned link are
   /// silently dropped (still accounted as sent — the sender did the work).
-  SQOS_EXCHANGE void send(NodeId from, NodeId to, MessageKind kind, Bytes size,
-                          sim::EventFn on_deliver) {
+  void send(NodeId from, NodeId to, MessageKind kind, Bytes size, sim::EventFn on_deliver) {
     assert(from.value() < names_.size());
     assert(to.value() < names_.size());
     account(stats_, kind, size);

@@ -1,5 +1,4 @@
 #include "qos/qos_manager.hpp"
-#include "util/domain_guard.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -33,7 +32,6 @@ TenantId QosManager::tenant_of_client(std::size_t client_index) const {
 }
 
 void QosManager::on_request(TenantId t, Bytes size) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   if (t >= runtime_.size()) return;
   TenantRuntime& rt = runtime_[t];
   const auto b = static_cast<std::uint64_t>(size.count());
@@ -42,7 +40,6 @@ void QosManager::on_request(TenantId t, Bytes size) {
 }
 
 bool QosManager::admit(TenantId t, std::size_t rm_index, Bytes size, SimTime now) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   if (t >= runtime_.size() || rm_index >= rm_count_) return true;
   TenantRuntime& rt = runtime_[t];
   if (rt.buckets[rm_index].try_consume(size.count(), now)) {
@@ -55,7 +52,6 @@ bool QosManager::admit(TenantId t, std::size_t rm_index, Bytes size, SimTime now
 }
 
 void QosManager::on_complete(TenantId t, Bytes delivered, SimTime latency) {
-  SQOS_EXCHANGE_SCOPE(util::DomainTag::global());
   if (t >= runtime_.size()) return;
   TenantRuntime& rt = runtime_[t];
   const auto b = static_cast<std::uint64_t>(delivered.count() < 0 ? 0 : delivered.count());
@@ -96,7 +92,6 @@ void QosManager::apply_rate(TenantRuntime& rt, std::int64_t rate_bytes_per_sec, 
 }
 
 void QosManager::tick(SimTime now) {
-  SQOS_DOMAIN_SCOPE(util::DomainTag::global());
   // Congestion signal: worst allocated/cap ratio across RMs, sampled in RM
   // index order (deterministic fold).
   double max_util = 0.0;

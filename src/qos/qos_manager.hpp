@@ -22,7 +22,6 @@
 #include "qos/token_bucket.hpp"
 #include "util/sim_time.hpp"
 #include "util/units.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::qos {
 
@@ -43,7 +42,7 @@ struct TenantStats {
   std::int64_t rate_bytes_per_sec = kUncappedRate;  // current global rate
 };
 
-class SQOS_DOMAIN(global) QosManager {
+class QosManager {
  public:
   /// `slos` must already be validated (names filled, floor <= ceiling).
   /// Buckets start uncapped: with the controller disabled the cluster
@@ -81,13 +80,13 @@ class SQOS_DOMAIN(global) QosManager {
   /// demand must count against the floor); admit is called by the serving
   /// RM — it refills the (tenant, rm) bucket to `now` and consumes `size`
   /// bytes or refuses.
-  SQOS_EXCHANGE void on_request(TenantId t, Bytes size);
-  SQOS_EXCHANGE [[nodiscard]] bool admit(TenantId t, std::size_t rm_index, Bytes size, SimTime now);
+  void on_request(TenantId t, Bytes size);
+  [[nodiscard]] bool admit(TenantId t, std::size_t rm_index, Bytes size, SimTime now);
 
   /// Completion credit: `delivered` bytes reached the client; `latency` is
   /// admission-to-completion transfer time (checked against the tenant's
   /// latency target when one is set).
-  SQOS_EXCHANGE void on_complete(TenantId t, Bytes delivered, SimTime latency);
+  void on_complete(TenantId t, Bytes delivered, SimTime latency);
 
   /// One controller period: per-tenant SLO accounting always runs; the
   /// AIMD rate adjustment runs only when config().enabled.

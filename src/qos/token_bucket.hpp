@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "util/sim_time.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::qos {
 
@@ -21,7 +20,7 @@ namespace sqos::qos {
 /// rate * burst_window arithmetic stays far from int64 saturation.
 inline constexpr std::int64_t kUncappedRate = std::int64_t{1} << 42;
 
-class SQOS_DOMAIN(owner) TokenBucket {
+class TokenBucket {
  public:
   TokenBucket() = default;
 

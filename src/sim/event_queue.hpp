@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/event.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::sim {
 
@@ -58,7 +57,7 @@ class EventSeries {
 ///
 /// A series (push_series) reserves a block of sequence numbers but holds
 /// only its next event; size() counts the reserved remainder as pending.
-class SQOS_DOMAIN(owner) EventQueue {
+class EventQueue {
  public:
   /// One wheel tick: 2^14 us = 16.384 ms.
   static constexpr unsigned kTickBits = 14;

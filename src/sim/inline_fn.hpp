@@ -22,11 +22,10 @@
 #include <new>
 #include <type_traits>
 #include <utility>
-#include "util/domain.hpp"
 
 namespace sqos::sim {
 
-class SQOS_DOMAIN(owner) InlineFn {
+class InlineFn {
  public:
   /// Captures up to this many bytes (with alignment <= kInlineAlign and a
   /// nothrow move constructor) are stored inline in the event record.

@@ -20,11 +20,10 @@
 #include "sim/event_queue.hpp"
 #include "sim/inline_fn.hpp"
 #include "util/sim_time.hpp"
-#include "util/domain.hpp"
 
 namespace sqos::sim {
 
-class SQOS_DOMAIN(global) Simulator {
+class Simulator {
  public:
   Simulator() = default;
 
@@ -35,10 +34,10 @@ class SQOS_DOMAIN(global) Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedule `fn` at absolute time `t` (must not be in the past).
-  SQOS_EXCHANGE EventId schedule_at(SimTime t, EventFn fn);
+  EventId schedule_at(SimTime t, EventFn fn);
 
   /// Schedule `fn` after a non-negative delay.
-  SQOS_EXCHANGE EventId schedule_after(SimTime delay, EventFn fn);
+  EventId schedule_after(SimTime delay, EventFn fn);
 
   /// Schedule n events at nondecreasing times time_of(0) <= ... <=
   /// time_of(n - 1), the first no earlier than now(); event i calls fire(i).
@@ -49,11 +48,11 @@ class SQOS_DOMAIN(global) Simulator {
   /// are kept until the last event has run. Series events cannot be
   /// cancelled.
   template <typename TimeOf, typename Fire>
-  SQOS_EXCHANGE void schedule_series(std::size_t n, TimeOf time_of, Fire fire);
+  void schedule_series(std::size_t n, TimeOf time_of, Fire fire);
 
   /// Cancel a pending event. Returns false if it already fired or was
   /// cancelled before.
-  SQOS_EXCHANGE bool cancel(EventId id);
+  bool cancel(EventId id);
 
   /// Run until the queue drains or `stop()` is called.
   void run();

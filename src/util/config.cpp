@@ -16,6 +16,16 @@ namespace {
   std::abort();
 }
 
+/// from_chars over the whole value; anything else (including a sign an
+/// unsigned T cannot take) dies naming the key.
+template <typename T>
+T parse_or_die(std::string_view key, const std::string& s, std::string_view type) {
+  T v{};
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) die(key, s, type);
+  return v;
+}
+
 }  // namespace
 
 Result<Config> Config::from_args(int argc, const char* const* argv) {
@@ -44,22 +54,17 @@ std::string Config::get_string(std::string_view key, std::string_view fallback) 
 
 std::int64_t Config::get_int(std::string_view key, std::int64_t fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::int64_t v = 0;
-  const auto& s = it->second;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) die(key, s, "int");
-  return v;
+  return it == values_.end() ? fallback : parse_or_die<std::int64_t>(key, it->second, "int");
+}
+
+std::size_t Config::get_count(std::string_view key, std::size_t fallback) const {
+  const auto it = values_.find(key);
+  return it == values_.end() ? fallback : parse_or_die<std::size_t>(key, it->second, "count");
 }
 
 double Config::get_double(std::string_view key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  double v = 0.0;
-  const auto& s = it->second;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) die(key, s, "double");
-  return v;
+  return it == values_.end() ? fallback : parse_or_die<double>(key, it->second, "double");
 }
 
 bool Config::get_bool(std::string_view key, bool fallback) const {

@@ -4,6 +4,7 @@
 // line so experiment sweeps can be driven without recompilation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -33,6 +34,8 @@ class Config {
   /// must never silently become a default).
   [[nodiscard]] std::string get_string(std::string_view key, std::string_view fallback) const;
   [[nodiscard]] std::int64_t get_int(std::string_view key, std::int64_t fallback) const;
+  /// A non-negative count (users, seeds, jobs, ...); a negative value aborts.
+  [[nodiscard]] std::size_t get_count(std::string_view key, std::size_t fallback) const;
   [[nodiscard]] double get_double(std::string_view key, double fallback) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool fallback) const;
   [[nodiscard]] Bandwidth get_bandwidth(std::string_view key, Bandwidth fallback) const;

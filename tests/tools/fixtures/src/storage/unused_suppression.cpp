@@ -7,4 +7,7 @@ namespace fixture {
 // sqos-lint: allow(no-wallclock): stale allowance left after a refactor
 inline std::uint64_t plain(std::uint64_t x) { return x + 1; }
 
+// sqos-lint: allow(domain-cross-write): names a rule this linter does not have
+inline std::uint64_t twice(std::uint64_t x) { return x * 2; }
+
 }  // namespace fixture

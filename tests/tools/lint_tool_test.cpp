@@ -117,8 +117,9 @@ TEST(SqosLint, UnjustifiedSuppressionKeepsFindingAndReportsBadSuppression) {
 }
 
 TEST(SqosLint, UnusedJustifiedSuppressionIsReported) {
+  // Line 10 names no rule of this linter, so it can never match a finding.
   EXPECT_EQ(lint_one("src/storage/unused_suppression.cpp"),
-            (Expected{{"unused-suppression", 7}}));
+            (Expected{{"unused-suppression", 7}, {"unused-suppression", 10}}));
 }
 
 TEST(SqosLint, JsonDocumentCarriesExactRuleIdsAndLines) {
@@ -160,7 +161,7 @@ TEST(SqosLint, WholeFixtureTreeFindingsAreDeterministicallySorted) {
   Linter linter;
   for (const std::string& rel : rels) linter.add_file(rel, read_fixture(rel));
   const std::vector<Finding> findings = linter.run();
-  EXPECT_EQ(findings.size(), 29u);
+  EXPECT_EQ(findings.size(), 30u);
   EXPECT_TRUE(std::is_sorted(findings.begin(), findings.end(),
                              [](const Finding& a, const Finding& b) {
                                return std::tie(a.file, a.line, a.rule) <

@@ -49,6 +49,13 @@ TEST(Config, BandwidthParsing) {
   EXPECT_DOUBLE_EQ(c.get_bandwidth("bw", Bandwidth::zero()).as_mbps(), 19.0);
 }
 
+TEST(ConfigDeathTest, NegativeCountDiesNamingTheKey) {
+  EXPECT_EQ(make({"users=32"}).get_count("users", 0), 32u);
+  EXPECT_EQ(make({}).get_count("users", 5), 5u);
+  const Config c = make({"users=-1"});
+  EXPECT_DEATH((void)c.get_count("users", 1), "users='-1' as count");
+}
+
 TEST(Config, LastValueWins) {
   const Config c = make({"k=1", "k=2"});
   EXPECT_EQ(c.get_int("k", 0), 2);

@@ -237,14 +237,7 @@ void rule_no_mutable_static(const SourceFile& f, Sink& out) {
   // Join lines (keeping offsets) so declarations split across lines parse.
   std::string joined;
   std::vector<std::size_t> line_of;  // joined offset -> line index
-  for (std::size_t ln = 0; ln < f.code.size(); ++ln) {
-    for (const char c : f.code[ln]) {
-      joined += c;
-      line_of.push_back(ln);
-    }
-    joined += '\n';
-    line_of.push_back(ln);
-  }
+  join_code(f, joined, line_of);
   std::size_t from = 0;
   while (true) {
     const std::size_t pos = find_word(joined, "static", from);
@@ -297,14 +290,7 @@ void rule_nodiscard_result(const SourceFile& f, Sink& out) {
   // Join lines (keeping offsets) so `class X\n    : base {` parses.
   std::string joined;
   std::vector<std::size_t> line_of;  // joined offset -> line index
-  for (std::size_t ln = 0; ln < f.code.size(); ++ln) {
-    for (const char c : f.code[ln]) {
-      joined += c;
-      line_of.push_back(ln);
-    }
-    joined += '\n';
-    line_of.push_back(ln);
-  }
+  join_code(f, joined, line_of);
   static constexpr std::string_view kKeywords[] = {"class", "struct"};
   for (const std::string_view kw : kKeywords) {
     std::size_t from = 0;
@@ -556,9 +542,6 @@ std::vector<Finding> Linter::run() {
       if (!suppressed) all.push_back(std::move(fd));
     }
     for (const Suppression& s : f.sups) {
-      // Domain-family suppressions belong to the sibling sqos_domain_check
-      // pass; it audits their justification and use, not this linter.
-      if (s.rule == "domain" || starts_with(s.rule, "domain-")) continue;
       if (!s.justified) {
         all.push_back(Finding{
             std::string{kBadSuppression}, f.path, s.comment_line,
@@ -609,12 +592,9 @@ const std::vector<RuleInfo>& rule_catalog() {
 
 // -------------------------------------------------------------- output --
 
-std::string to_json(const std::vector<Finding>& findings, std::size_t files_scanned,
-                    std::string_view schema) {
+std::string to_json(const std::vector<Finding>& findings, std::size_t files_scanned) {
   std::string out;
-  out += "{\n  \"schema\": \"";
-  out += schema;
-  out += "\",\n  \"files_scanned\": ";
+  out += "{\n  \"schema\": \"sqos-lint-v1\",\n  \"files_scanned\": ";
   out += std::to_string(files_scanned);
   out += ",\n  \"finding_count\": ";
   out += std::to_string(findings.size());
@@ -636,11 +616,11 @@ std::string to_json(const std::vector<Finding>& findings, std::size_t files_scan
   return out;
 }
 
-std::string to_github(const std::vector<Finding>& findings, std::string_view title_prefix) {
+std::string to_github(const std::vector<Finding>& findings) {
   std::string out;
   for (const Finding& f : findings) {
     out += "::error file=" + f.file + ",line=" + std::to_string(f.line) +
-           ",title=" + std::string{title_prefix} + " " + f.rule + "::" + f.message + "\n";
+           ",title=sqos-lint " + f.rule + "::" + f.message + "\n";
   }
   return out;
 }

@@ -19,7 +19,8 @@
 //   nodiscard-result         *Result/*Status/*Error types not [[nodiscard]]
 //   pragma-once              headers missing #pragma once (or a guard)
 //   bad-suppression          an allow(...) directive without a justification
-//   unused-suppression       a justified suppression that matched nothing
+//   unused-suppression       a justified suppression that matched nothing,
+//                            including one naming a rule not listed here
 //
 // Suppression syntax: an inline comment (same line or the line above) with
 // the `sqos-lint:` marker followed by
@@ -78,15 +79,11 @@ class Linter {
   std::vector<SourceFile> files_;  // incomplete element type: ctor/dtor in .cpp
 };
 
-/// Render findings as a versioned JSON document. The schema id names the
-/// producing pass: `sqos-lint-v1` (default) or `sqos-domain-check-v1`.
+/// Render findings as a JSON document under schema id `sqos-lint-v1`.
 [[nodiscard]] std::string to_json(const std::vector<Finding>& findings,
-                                  std::size_t files_scanned,
-                                  std::string_view schema = "sqos-lint-v1");
+                                  std::size_t files_scanned);
 
 /// Render findings as GitHub workflow annotations (::error file=...).
-/// `title_prefix` names the producing tool in the annotation title.
-[[nodiscard]] std::string to_github(const std::vector<Finding>& findings,
-                                    std::string_view title_prefix = "sqos-lint");
+[[nodiscard]] std::string to_github(const std::vector<Finding>& findings);
 
 }  // namespace sqos::lint

@@ -1,12 +1,9 @@
-// Shared source-scanning engine for the tools/ static-analysis passes.
+// Source model of sqos_lint's token-level scanner.
 //
-// Both sqos_lint (determinism rules) and sqos_domain_check (ownership-domain
-// rules) are token-level scanners over the same source model: a per-line
-// "code view" with comments and string literals blanked out (so rule tokens
-// inside comments or strings never fire), a per-line comment view (where
-// `sqos-lint:` suppression directives live), and a handful of
-// word-boundary-aware find helpers. This header is that engine, extracted
-// from the original linter so the two passes cannot drift apart on lexing.
+// A per-line "code view" with comments and string literals blanked out (so
+// rule tokens inside comments or strings never fire), a per-line comment
+// view (where `sqos-lint:` suppression directives live), and a handful of
+// word-boundary-aware find helpers that the rules in linter.cpp share.
 #pragma once
 
 #include <cstddef>

@@ -36,7 +36,9 @@
 //                             byte-identical across repeats and jobs=)
 //   metrics=0|1     [0]       print the observability-counter table
 //
-// Any other key is an error (exit 1): a mistyped key never runs a default.
+// Any other key, or a mode or dest outside its list, is an error (exit 1), and
+// a negative count aborts naming its key: a mistyped key or value never runs
+// a default.
 #include <cstdio>
 
 #include "exp/experiment.hpp"
@@ -67,15 +69,19 @@ int main(int argc, char** argv) {
   }
 
   exp::ExperimentParams params;
-  params.users = static_cast<std::size_t>(cfg.get_int("users", 256));
-  params.mode = cfg.get_string("mode", "firm") == "soft" ? core::AllocationMode::kSoft
-                                                         : core::AllocationMode::kFirm;
+  params.users = cfg.get_count("users", 256);
+  const std::string mode = cfg.get_string("mode", "firm");
+  if (mode != "firm" && mode != "soft") {
+    std::fprintf(stderr, "unknown mode '%s' (firm|soft)\n", mode.c_str());
+    return 1;
+  }
+  params.mode = mode == "soft" ? core::AllocationMode::kSoft : core::AllocationMode::kFirm;
   params.policy = core::PolicyWeights{cfg.get_double("alpha", 1.0), cfg.get_double("beta", 0.0),
                                       cfg.get_double("gamma", 0.0)};
   if (cfg.get_bool("replication", false)) {
     params.replication = core::ReplicationConfig::rep(
-        static_cast<std::uint32_t>(cfg.get_int("nrep", 1)),
-        static_cast<std::uint32_t>(cfg.get_int("nmaxr", 3)));
+        static_cast<std::uint32_t>(cfg.get_count("nrep", 1)),
+        static_cast<std::uint32_t>(cfg.get_count("nmaxr", 3)));
     params.replication.trigger_threshold = cfg.get_double("bth", 0.2);
     const std::string dest = cfg.get_string("dest", "random");
     if (dest == "lbf") {
@@ -102,7 +108,7 @@ int main(int argc, char** argv) {
     }
     params.layout = policy.value();
   }
-  params.catalog.file_count = static_cast<std::size_t>(cfg.get_int("files", 1000));
+  params.catalog.file_count = cfg.get_count("files", 1000);
   params.catalog.zipf_exponent = cfg.get_double("zipf", params.catalog.zipf_exponent);
   params.catalog.bitrate_median_mbps =
       cfg.get_double("bitrate_median", params.catalog.bitrate_median_mbps);
@@ -115,7 +121,7 @@ int main(int argc, char** argv) {
     params.obs_trace_path = trace;
   }
 
-  const auto shards = static_cast<std::size_t>(cfg.get_int("shards", 1));
+  const auto shards = cfg.get_count("shards", 1);
   const double cache_ttl = cfg.get_double("cache_ttl", 0.0);
   if (shards != 1 || cache_ttl > 0.0) {
     dfs::ClusterConfig cluster = exp::paper_cluster_config();
@@ -124,8 +130,8 @@ int main(int argc, char** argv) {
     params.cluster = cluster;
   }
 
-  const auto seeds = static_cast<std::size_t>(cfg.get_int("seeds", 1));
-  const auto jobs = static_cast<std::size_t>(cfg.get_int("jobs", 1));
+  const auto seeds = cfg.get_count("seeds", 1);
+  const auto jobs = cfg.get_count("jobs", 1);
   std::printf("sqos_run: %zu users, %s, policy %s, %s%s, layout %s, %zu MM shard(s), %zu seed(s)\n\n",
               params.users, to_string(params.mode).data(), params.policy.to_string().c_str(),
               params.replication.strategy_name().c_str(),
