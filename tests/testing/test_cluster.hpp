@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dfs/cluster.hpp"
@@ -46,6 +47,34 @@ inline std::unique_ptr<dfs::Cluster> make_small_cluster(
   auto built = dfs::Cluster::build(std::move(cfg), std::move(directory));
   EXPECT_TRUE(built.is_ok()) << built.status().to_string();
   return std::move(built).take();
+}
+
+/// 6 small RMs on two machines, one client, jitter-free: enough distinct
+/// hosts for an EC(4,2) stripe with full anti-affinity.
+inline dfs::ClusterConfig six_rm_config() {
+  dfs::ClusterConfig cfg;
+  cfg.machines.push_back(dfs::MachineSpec{"m1", Bandwidth::mbps(60.0)});
+  cfg.machines.push_back(dfs::MachineSpec{"m2", Bandwidth::mbps(60.0)});
+  for (int r = 1; r <= 6; ++r) {
+    cfg.rms.push_back(dfs::RmSpec{"RM" + std::to_string(r), Bandwidth::mbps(10.0),
+                                  Bytes::gib(1.0), static_cast<std::size_t>((r - 1) % 2)});
+  }
+  cfg.client_count = 1;
+  cfg.latency.jitter_mean = SimTime::zero();
+  cfg.layout = storage::LayoutPolicy::erasure(4, 2);
+  cfg.seed = 42;
+  return cfg;
+}
+
+/// Fresh EC(4,2) cluster with file 1 striped across RM0..RM5 (shard s on
+/// RM s), registration settled.
+inline std::unique_ptr<dfs::Cluster> make_ec_cluster() {
+  auto cluster = make_small_cluster(six_rm_config(), tiny_catalog(1));
+  const std::vector<std::size_t> rms{0, 1, 2, 3, 4, 5};
+  EXPECT_TRUE(cluster->place_stripe(1, 4, 2, rms).is_ok());
+  cluster->start();
+  cluster->simulator().run_until(cluster->simulator().now() + SimTime::seconds(1.0));
+  return cluster;
 }
 
 }  // namespace sqos::testing
