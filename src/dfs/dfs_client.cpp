@@ -10,6 +10,22 @@
 
 namespace sqos::dfs {
 
+namespace {
+
+/// Bid intake hook for flows that keep nothing beside the bid itself.
+constexpr auto kKeepBidOnly = [](const auto&) {};
+
+/// Remove the entry at `it` from its table and return its value.
+template <typename V>
+V take(util::SmallU64Map<V>& table, typename util::SmallU64Map<V>::iterator it) {
+  assert(it != table.end());
+  V value = std::move(it->second);
+  table.erase(it);
+  return value;
+}
+
+}  // namespace
+
 DfsClient::DfsClient(net::NodeId id, Params params, sim::Simulator& simulator,
                      net::Network& network, MetadataDirectory& mm,
                      const FileDirectory& directory, Rng rng)
@@ -26,46 +42,131 @@ ResourceManager* DfsClient::rm_by_node(net::NodeId id) const {
   return rm_index_ == nullptr ? nullptr : rm_index_->by_node(id);
 }
 
+// --- the ECNP round ----------------------------------------------------------
+//
+// Every access is one round of the Extended Contract Net Protocol (§III.B):
+// explore (ask the MM which RMs qualify), negotiate (CFP every candidate and
+// collect bids until the last one or the deadline), then request data from
+// the chosen RM(s). These legs are the round's mechanics, shared by reads,
+// explicit sessions, writes and striped reads. Each flow keeps its own MM
+// query, candidate ranking and completion handling, and passes them in.
+
+template <typename Ctx, typename Fail>
+void DfsClient::arm_exploration(util::SmallU64Map<Ctx>& table, std::uint64_t id, Fail fail) {
+  // An unreachable matchmaker (network partition) must fail the access, not
+  // hang it.
+  table.at(id).timeout_event = sim_.schedule_after(params_.bid_timeout, [this, &table, id, fail] {
+    const auto it = table.find(id);
+    if (it == table.end() || it->second.expected_bids > 0 || it->second.evaluated) return;
+    ++counters_.bid_timeouts;
+    fail(id, Status::unavailable("matchmaker unreachable"));
+  });
+}
+
+template <typename Ctx, typename Evaluate>
+void DfsClient::arm_bid_deadline(util::SmallU64Map<Ctx>& table, std::uint64_t id,
+                                 std::size_t expected, Evaluate evaluate) {
+  Ctx& round = table.at(id);
+  round.expected_bids = expected;
+  // Bids missing at the deadline count as refusals: an RM that crashed since
+  // the MM listed it must not hang the round.
+  round.timeout_event = sim_.schedule_after(params_.bid_timeout, [this, &table, id, evaluate] {
+    const auto it = table.find(id);
+    if (it == table.end() || it->second.evaluated) return;
+    ++counters_.bid_timeouts;
+    evaluate(id);
+  });
+}
+
+template <typename OnBid>
+void DfsClient::send_cfp(net::NodeId target, const CfpMsg& cfp, OnBid on_bid) {
+  ResourceManager* rm = rm_by_node(target);
+  assert(rm != nullptr && "MM returned an unknown RM");
+  ++counters_.cfps_sent;
+  net_.send(id_, target, net::MessageKind::kCfp, CfpMsg::estimated_size(),
+            [this, rm, cfp, on_bid] {
+              if (!rm->is_online()) return;  // message lost at the dead host
+              const BidMsg bid = rm->handle_cfp(cfp);
+              net_.send(rm->node_id(), id_, net::MessageKind::kBid, BidMsg::estimated_size(),
+                        [on_bid, bid] { on_bid(bid); });
+            });
+}
+
+template <typename Ctx, typename Keep, typename Evaluate>
+void DfsClient::file_bid(util::SmallU64Map<Ctx>& table, const BidMsg& bid, Keep keep,
+                         Evaluate evaluate) {
+  const auto it = table.find(bid.open_id);
+  if (it == table.end() || it->second.evaluated) return;  // late bid: drop
+  ++counters_.bids_received;
+  Ctx& round = it->second;
+  round.bids.push_back(bid);
+  keep(round);
+  if (round.bids.size() == round.expected_bids) {
+    sim_.cancel(round.timeout_event);
+    evaluate(bid.open_id);
+  }
+}
+
+template <typename OnComplete>
+void DfsClient::send_data_request(net::NodeId target, DataRequestMsg request, SimTime expected,
+                                  OnComplete on_complete) {
+  ResourceManager* rm = rm_by_node(target);
+  assert(rm != nullptr);
+  request.firm = params_.mode == core::AllocationMode::kFirm;
+  request.tenant = params_.tenant;
+
+  // Whichever of the RM's completion, its refusal and the deadline comes
+  // first settles the request; the others find it settled.
+  auto settled = std::make_shared<bool>(false);
+  const auto settle = [settled, on_complete](const DataCompleteMsg& m) {
+    if (*settled) return;
+    *settled = true;
+    on_complete(m);
+  };
+  // Data-phase deadline: a request or completion lost to a partition counts
+  // as a rejection instead of hanging the access.
+  sim_.schedule_after(expected + params_.bid_timeout,
+                      [settle, rejected = DataCompleteMsg{request.open_id, request.file, false}] {
+                        settle(rejected);
+                      });
+  net_.send(id_, target, net::MessageKind::kDataRequest, DataRequestMsg::estimated_size(),
+            [this, rm, request, settle] {
+              if (!rm->is_online()) {
+                // Connection refused: the RM died between bidding and the
+                // data request. Report the allocation as rejected.
+                net_.send(rm->node_id(), id_, net::MessageKind::kDataComplete,
+                          DataCompleteMsg::estimated_size(),
+                          [settle, refused = DataCompleteMsg{request.open_id, request.file,
+                                                             false}] { settle(refused); });
+                return;
+              }
+              rm->handle_data_request(id_, request, settle);
+            });
+}
+
 void DfsClient::stream_file(FileId file, Callback done) {
   if (params_.layout.is_ec()) {
     stream_striped(file, std::move(done));
     return;
   }
-  if (params_.qos != nullptr) params_.qos->on_request(params_.tenant, directory_.get(file).size);
   OpenContext ctx;
-  ctx.file = file;
-  ctx.required = directory_.get(file).bitrate;
-  ctx.explicit_session = false;
   ctx.done = std::move(done);
-  start_negotiation(next_open_id_++, std::move(ctx));
+  start_negotiation(file, std::move(ctx));
 }
 
 void DfsClient::open(FileId file, std::function<void(Result<std::uint64_t>)> opened) {
-  if (params_.qos != nullptr) params_.qos->on_request(params_.tenant, directory_.get(file).size);
   OpenContext ctx;
-  ctx.file = file;
-  ctx.required = directory_.get(file).bitrate;
   ctx.explicit_session = true;
   ctx.opened = std::move(opened);
-  start_negotiation(next_open_id_++, std::move(ctx));
+  start_negotiation(file, std::move(ctx));
 }
 
 void DfsClient::open_write(FileId file, std::function<void(Result<std::uint64_t>)> opened) {
-  if (params_.qos != nullptr) params_.qos->on_request(params_.tenant, directory_.get(file).size);
   OpenContext ctx;
-  ctx.file = file;
-  ctx.required = directory_.get(file).bitrate;
   ctx.explicit_session = true;
   ctx.write_session = true;
   ctx.opened = std::move(opened);
-  // The CNP broadcast path reaches every RM, which is exactly the candidate
-  // set a fresh file needs; under ECNP the MM's holder query would return
-  // nothing, so force the broadcast exploration for write sessions.
-  ++counters_.opens_attempted;
-  ctx.started = sim_.now();
-  const std::uint64_t open_id = next_open_id_++;
-  opens_.emplace(open_id, std::move(ctx));
-  send_cfps(open_id, rm_index_->nodes());
+  start_negotiation(file, std::move(ctx));
 }
 
 void DfsClient::write_file(FileId file, std::size_t replicas, Callback done) {
@@ -82,18 +183,8 @@ void DfsClient::write_file(FileId file, std::size_t replicas, Callback done) {
   ctx.replicas = replicas == 0 ? 1 : replicas;
   ctx.done = std::move(done);
   writes_.emplace(write_id, std::move(ctx));
-
-  // Exploration deadline: an unreachable matchmaker fails the write.
-  writes_.at(write_id).timeout_event =
-      sim_.schedule_after(params_.bid_timeout, [this, write_id] {
-        const auto it = writes_.find(write_id);
-        if (it == writes_.end() || it->second.expected_bids > 0 || it->second.evaluated) return;
-        ++counters_.bid_timeouts;
-        ++counters_.writes_failed;
-        WriteContext failed = std::move(it->second);
-        writes_.erase(it);
-        if (failed.done) failed.done(Status::unavailable("matchmaker unreachable"));
-      });
+  arm_exploration(writes_, write_id,
+                  [this](std::uint64_t id, const Status& s) { fail_write(id, s); });
 
   // Exploration: the owning shard's non-holder list — for a fresh file,
   // every registered RM — are the placement candidates.
@@ -119,48 +210,18 @@ void DfsClient::on_write_candidates(std::uint64_t write_id, const ReplicaListRep
   sim_.cancel(it->second.timeout_event);
   const std::size_t candidates = reply.non_holder_count();
   if (candidates == 0) {
-    ++counters_.writes_failed;
-    WriteContext ctx = std::move(it->second);
-    writes_.erase(it);
-    if (ctx.done) ctx.done(Status::unavailable("no RM available for the write"));
+    fail_write(write_id, Status::unavailable("no RM available for the write"));
     return;
   }
 
-  WriteContext& ctx = it->second;
-  ctx.expected_bids = candidates;
-  ctx.timeout_event = sim_.schedule_after(params_.bid_timeout, [this, write_id] {
-    const auto wit = writes_.find(write_id);
-    if (wit == writes_.end() || wit->second.evaluated) return;
-    ++counters_.bid_timeouts;
-    evaluate_write_bids(write_id);
-  });
-
-  CfpMsg cfp;
-  cfp.open_id = write_id;
-  cfp.file = ctx.file;
-  cfp.required = ctx.required;
+  arm_bid_deadline(writes_, write_id, candidates,
+                   [this](std::uint64_t id) { evaluate_write_bids(id); });
+  const WriteContext& ctx = it->second;
+  const CfpMsg cfp{write_id, ctx.file, ctx.required};
   for (std::size_t i = 0; i < candidates; ++i) {
-    const net::NodeId target = reply.non_holder(i);
-    ResourceManager* rm = rm_by_node(target);
-    assert(rm != nullptr);
-    ++counters_.cfps_sent;
-    net_.send(id_, target, net::MessageKind::kCfp, CfpMsg::estimated_size(), [this, rm, cfp] {
-      if (!rm->is_online()) return;
-      const BidMsg bid = rm->handle_cfp(cfp);
-      net_.send(rm->node_id(), id_, net::MessageKind::kBid, BidMsg::estimated_size(),
-                [this, bid] { on_write_bid(bid.open_id, bid); });
+    send_cfp(reply.non_holder(i), cfp, [this](const BidMsg& bid) {
+      file_bid(writes_, bid, kKeepBidOnly, [this](std::uint64_t id) { evaluate_write_bids(id); });
     });
-  }
-}
-
-void DfsClient::on_write_bid(std::uint64_t write_id, const BidMsg& bid) {
-  const auto it = writes_.find(write_id);
-  if (it == writes_.end() || it->second.evaluated) return;
-  ++counters_.bids_received;
-  it->second.bids.push_back(bid);
-  if (it->second.bids.size() == it->second.expected_bids) {
-    sim_.cancel(it->second.timeout_event);
-    evaluate_write_bids(write_id);
   }
 }
 
@@ -177,13 +238,7 @@ void DfsClient::evaluate_write_bids(std::uint64_t write_id) {
     candidates.push_back(b);
   }
   if (candidates.empty()) {
-    ++counters_.writes_failed;
-    const auto it = writes_.find(write_id);
-    WriteContext done_ctx = std::move(it->second);
-    writes_.erase(it);
-    if (done_ctx.done) {
-      done_ctx.done(Status::resource_exhausted("no RM can accept the written replica"));
-    }
+    fail_write(write_id, Status::resource_exhausted("no RM can accept the written replica"));
     return;
   }
 
@@ -203,68 +258,25 @@ void DfsClient::evaluate_write_bids(std::uint64_t write_id) {
   const std::size_t k = std::min(ctx.replicas, ctx.ranked.size());
   ctx.pending_writes = k;
   ctx.next_candidate = k;
-
-  // Copy the first-k targets out before dispatching: dispatch_write touches
-  // the context map.
-  std::vector<net::NodeId> first_targets;
-  first_targets.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) first_targets.push_back(ctx.ranked[i].rm);
-  for (const net::NodeId target : first_targets) dispatch_write(write_id, target);
+  for (std::size_t i = 0; i < k; ++i) dispatch_write(write_id, ctx.ranked[i].rm);
 }
 
 void DfsClient::dispatch_write(std::uint64_t write_id, net::NodeId target) {
-  const auto it = writes_.find(write_id);
-  if (it == writes_.end()) return;
-  const WriteContext& ctx = it->second;
-  ResourceManager* rm = rm_by_node(target);
-  assert(rm != nullptr);
-
-  DataRequestMsg request;
-  request.open_id = write_id;
-  request.file = ctx.file;
-  request.rate = ctx.required;
-  request.firm = params_.mode == core::AllocationMode::kFirm;
-  request.auto_complete = true;
-  request.write = true;
-  request.tenant = params_.tenant;
-
-  // Per-copy deadline (lost request/completion counts as a rejection, which
-  // triggers the normal failover to the next-ranked candidate).
-  auto settled = std::make_shared<bool>(false);
-  const auto settle = [this, settled, target](std::uint64_t id, const DataCompleteMsg& m) {
-    if (*settled) return;
-    *settled = true;
-    on_write_complete(id, target, m);
-  };
-  const SimTime expected = ctx.required.time_to_transfer(ctx.size);
-  sim_.schedule_after(expected + params_.bid_timeout, [settle, request] {
-    DataCompleteMsg timed_out;
-    timed_out.open_id = request.open_id;
-    timed_out.file = request.file;
-    timed_out.accepted = false;
-    settle(timed_out.open_id, timed_out);
-  });
-
-  net_.send(id_, target, net::MessageKind::kDataRequest, DataRequestMsg::estimated_size(),
-            [this, rm, request, settle] {
-              if (!rm->is_online()) {
-                DataCompleteMsg refused;
-                refused.open_id = request.open_id;
-                refused.file = request.file;
-                refused.accepted = false;
-                net_.send(rm->node_id(), id_, net::MessageKind::kDataComplete,
-                          DataCompleteMsg::estimated_size(),
-                          [settle, refused] { settle(refused.open_id, refused); });
-                return;
-              }
-              rm->handle_data_request(id_, request,
-                                      [settle, write_id = request.open_id](
-                                          const DataCompleteMsg& m) { settle(write_id, m); });
-            });
+  const WriteContext& ctx = writes_.at(write_id);
+  // A lost request or completion counts as a rejection, which triggers the
+  // normal failover to the next-ranked candidate.
+  send_data_request(target,
+                    {.open_id = write_id,
+                     .file = ctx.file,
+                     .rate = ctx.required,
+                     .auto_complete = true,
+                     .write = true},
+                    ctx.required.time_to_transfer(ctx.size),
+                    [this, target](const DataCompleteMsg& m) { on_write_complete(target, m); });
 }
 
-void DfsClient::on_write_complete(std::uint64_t write_id, net::NodeId rm,
-                                  const DataCompleteMsg& msg) {
+void DfsClient::on_write_complete(net::NodeId rm, const DataCompleteMsg& msg) {
+  const std::uint64_t write_id = msg.open_id;
   const auto it = writes_.find(write_id);
   if (it == writes_.end()) return;
   WriteContext& ctx = it->second;
@@ -309,21 +321,25 @@ void DfsClient::on_write_complete(std::uint64_t write_id, net::NodeId rm,
 }
 
 void DfsClient::finish_write(std::uint64_t write_id) {
-  const auto it = writes_.find(write_id);
-  WriteContext ctx = std::move(it->second);
-  writes_.erase(it);
+  WriteContext ctx = take(writes_, writes_.find(write_id));
   if (obs_ != nullptr) {
     obs_->trace.complete(obs_track_, "write", "flow", ctx.started,
                          {obs::arg("file", static_cast<std::uint64_t>(ctx.file)),
                           obs::arg("replicas", static_cast<std::uint64_t>(ctx.succeeded)),
                           obs::arg("bytes", static_cast<std::uint64_t>(ctx.size.count()))});
   }
-  if (ctx.succeeded == 0) {
-    ++counters_.writes_failed;
-    if (ctx.done) ctx.done(Status::resource_exhausted("every write replica was rejected"));
-    return;
+  if (ctx.succeeded == 0) ++counters_.writes_failed;
+  if (ctx.done) {
+    ctx.done(ctx.succeeded == 0
+                 ? Status::resource_exhausted("every write replica was rejected")
+                 : Status::ok());
   }
-  if (ctx.done) ctx.done(Status::ok());
+}
+
+void DfsClient::fail_write(std::uint64_t write_id, const Status& status) {
+  ++counters_.writes_failed;
+  WriteContext ctx = take(writes_, writes_.find(write_id));
+  if (ctx.done) ctx.done(status);
 }
 
 void DfsClient::release(std::uint64_t session) {
@@ -333,14 +349,7 @@ void DfsClient::release(std::uint64_t session) {
               static_cast<unsigned long long>(session));
     return;
   }
-  const SessionInfo info = it->second;
-  sessions_.erase(it);
-  PendingRelease pending;
-  pending.info = info;
-  pending.msg.open_id = session;
-  pending.msg.commit = !info.write;  // a plain release abandons a write session
-  pending_releases_.emplace(session, pending);
-  send_release(session);
+  end_session(it, !it->second.write);  // a plain release abandons a write session
 }
 
 void DfsClient::release_write(std::uint64_t session, bool commit) {
@@ -350,10 +359,13 @@ void DfsClient::release_write(std::uint64_t session, bool commit) {
               static_cast<unsigned long long>(session));
     return;
   }
-  const SessionInfo info = it->second;
-  sessions_.erase(it);
+  end_session(it, commit);
+}
+
+void DfsClient::end_session(util::SmallU64Map<SessionInfo>::iterator it, bool commit) {
+  const std::uint64_t session = it->first;
   PendingRelease pending;
-  pending.info = info;
+  pending.info = take(sessions_, it);
   pending.msg.open_id = session;
   pending.msg.commit = commit;
   pending_releases_.emplace(session, pending);
@@ -415,33 +427,45 @@ void DfsClient::on_release_ack(std::uint64_t session) {
 
 void DfsClient::query_holders(FileId file,
                               std::function<void(std::vector<net::NodeId>)> reply) {
+  ask_holders(file, [reply = std::move(reply)](FileId, const std::vector<net::NodeId>& holders) {
+    reply(holders);
+  });
+}
+
+template <typename OnReply>
+void DfsClient::ask_holders(FileId file, OnReply on_reply) {
   // Per-file routing: the query goes to the shard owning this file on the
   // consistent-hash ring (with one shard this is the paper's single MM).
   const net::NodeId mm_node = mm_.node_for(file);
   MetadataManager& shard = mm_.shard_for(file);
   net_.send(id_, mm_node, net::MessageKind::kResourceQuery, ResourceQueryMsg::estimated_size(),
-            [this, &shard, mm_node, file, reply = std::move(reply)] {
-              const ResourceReplyMsg r = shard.handle_resource_query(file);
-              net_.send(mm_node, id_, net::MessageKind::kResourceReply, r.estimated_size(),
-                        [reply, holders = r.holders] { reply(holders); });
+            [this, &shard, mm_node, file, on_reply] {
+              const ResourceReplyMsg reply = shard.handle_resource_query(file);
+              net_.send(mm_node, id_, net::MessageKind::kResourceReply, reply.estimated_size(),
+                        [on_reply, file, holders = reply.holders] { on_reply(file, holders); });
             });
 }
 
-void DfsClient::start_negotiation(std::uint64_t open_id, OpenContext ctx) {
+void DfsClient::start_negotiation(FileId file, OpenContext ctx) {
+  if (params_.qos != nullptr) params_.qos->on_request(params_.tenant, directory_.get(file).size);
   ++counters_.opens_attempted;
+  const std::uint64_t open_id = next_open_id_++;
+  ctx.file = file;
+  ctx.required = directory_.get(file).bitrate;
   ctx.started = sim_.now();
+  // Plain CNP has no matchmaker: broadcast the CFP to every known RM. Write
+  // sessions broadcast under ECNP too: the MM's holder query would return
+  // nothing for a fresh file, while every RM is a placement candidate.
+  const bool broadcast = params_.negotiation == Negotiation::kCnp || ctx.write_session;
   opens_.emplace(open_id, std::move(ctx));
-
-  if (params_.negotiation == Negotiation::kCnp) {
-    // Plain CNP: no matchmaker — broadcast the CFP to every known RM.
+  if (broadcast) {
     send_cfps(open_id, rm_index_->nodes());
     return;
   }
   // Holder cache: a repeat open of a recently explored file skips the MM
   // round trip entirely.
-  const FileId cached_file = opens_.at(open_id).file;
   if (params_.holder_cache_ttl > SimTime::zero()) {
-    const auto hit = holder_cache_.find(cached_file);
+    const auto hit = holder_cache_.find(file);
     if (hit != holder_cache_.end() && hit->second.expires > sim_.now()) {
       ++counters_.holder_cache_hits;
       on_holders(open_id, hit->second.holders);
@@ -451,32 +475,14 @@ void DfsClient::start_negotiation(std::uint64_t open_id, OpenContext ctx) {
   }
 
   // ECNP resource-exploration phase: ask the file's MM shard for the
-  // eligible RMs first. The exploration has its own deadline — an
-  // unreachable matchmaker (network partition) must fail the open, not hang
-  // it.
-  const FileId file = opens_.at(open_id).file;
-  opens_.at(open_id).timeout_event =
-      sim_.schedule_after(params_.bid_timeout, [this, open_id] {
-        const auto it = opens_.find(open_id);
-        if (it == opens_.end() || it->second.expected_bids > 0 || it->second.evaluated) return;
-        ++counters_.bid_timeouts;
-        fail_open(open_id, Status::unavailable("matchmaker unreachable"));
-      });
-  const net::NodeId mm_node = mm_.node_for(file);
-  MetadataManager& shard = mm_.shard_for(file);
-  net_.send(id_, mm_node, net::MessageKind::kResourceQuery,
-            ResourceQueryMsg::estimated_size(), [this, &shard, mm_node, open_id, file] {
-              const ResourceReplyMsg reply = shard.handle_resource_query(file);
-              net_.send(mm_node, id_, net::MessageKind::kResourceReply,
-                        reply.estimated_size(),
-                        [this, open_id, file, holders = reply.holders] {
-                          if (params_.holder_cache_ttl > SimTime::zero()) {
-                            holder_cache_[file] = CachedHolders{
-                                holders, sim_.now() + params_.holder_cache_ttl};
-                          }
-                          on_holders(open_id, holders);
-                        });
-            });
+  // eligible RMs first.
+  arm_exploration(opens_, open_id, [this](std::uint64_t id, const Status& s) { fail_open(id, s); });
+  ask_holders(file, [this, open_id](FileId explored, const std::vector<net::NodeId>& holders) {
+    if (params_.holder_cache_ttl > SimTime::zero()) {
+      holder_cache_[explored] = CachedHolders{holders, sim_.now() + params_.holder_cache_ttl};
+    }
+    on_holders(open_id, holders);
+  });
 }
 
 void DfsClient::on_holders(std::uint64_t open_id, const std::vector<net::NodeId>& holders) {
@@ -492,53 +498,24 @@ void DfsClient::on_holders(std::uint64_t open_id, const std::vector<net::NodeId>
 }
 
 void DfsClient::send_cfps(std::uint64_t open_id, const std::vector<net::NodeId>& targets) {
-  auto& ctx = opens_.at(open_id);
-  ctx.expected_bids = targets.size();
+  OpenContext& ctx = opens_.at(open_id);
   ctx.bids.reserve(targets.size());
-  ctx.timeout_event =
-      sim_.schedule_after(params_.bid_timeout, [this, open_id] { on_bid_timeout(open_id); });
-
-  CfpMsg cfp;
-  cfp.open_id = open_id;
-  cfp.file = ctx.file;
-  cfp.required = ctx.required;
-
+  arm_bid_deadline(opens_, open_id, targets.size(), [this](std::uint64_t id) {
+    if (obs_ != nullptr) {
+      const OpenContext& timed_out = opens_.at(id);
+      obs_->trace.instant(obs_track_, "bid_timeout", "ecnp",
+                          {obs::arg("file", static_cast<std::uint64_t>(timed_out.file)),
+                           obs::arg("bids", static_cast<std::uint64_t>(timed_out.bids.size()))});
+    }
+    // Score whatever arrived; unreachable RMs count as refusals.
+    evaluate_bids(id);
+  });
+  const CfpMsg cfp{open_id, ctx.file, ctx.required};
   for (const net::NodeId target : targets) {
-    ResourceManager* rm = rm_by_node(target);
-    assert(rm != nullptr && "MM returned an unknown RM");
-    ++counters_.cfps_sent;
-    net_.send(id_, target, net::MessageKind::kCfp, CfpMsg::estimated_size(),
-              [this, rm, cfp] {
-                if (!rm->is_online()) return;  // message lost at the dead host
-                const BidMsg bid = rm->handle_cfp(cfp);
-                net_.send(rm->node_id(), id_, net::MessageKind::kBid, BidMsg::estimated_size(),
-                          [this, bid] { on_bid(bid.open_id, bid); });
-              });
+    send_cfp(target, cfp, [this](const BidMsg& bid) {
+      file_bid(opens_, bid, kKeepBidOnly, [this](std::uint64_t id) { evaluate_bids(id); });
+    });
   }
-}
-
-void DfsClient::on_bid(std::uint64_t open_id, const BidMsg& bid) {
-  const auto it = opens_.find(open_id);
-  if (it == opens_.end() || it->second.evaluated) return;  // late bid: drop
-  ++counters_.bids_received;
-  it->second.bids.push_back(bid);
-  if (it->second.bids.size() == it->second.expected_bids) {
-    sim_.cancel(it->second.timeout_event);
-    evaluate_bids(open_id);
-  }
-}
-
-void DfsClient::on_bid_timeout(std::uint64_t open_id) {
-  const auto it = opens_.find(open_id);
-  if (it == opens_.end() || it->second.evaluated) return;
-  ++counters_.bid_timeouts;
-  if (obs_ != nullptr) {
-    obs_->trace.instant(obs_track_, "bid_timeout", "ecnp",
-                        {obs::arg("file", static_cast<std::uint64_t>(it->second.file)),
-                         obs::arg("bids", static_cast<std::uint64_t>(it->second.bids.size()))});
-  }
-  // Score whatever arrived; unreachable RMs count as refusals.
-  evaluate_bids(open_id);
 }
 
 void DfsClient::evaluate_bids(std::uint64_t open_id) {
@@ -591,8 +568,6 @@ void DfsClient::evaluate_bids(std::uint64_t open_id) {
   const auto pick = policy_.choose_scored(candidates.size(), score_scratch_, rng_, select_scratch_);
   assert(pick.has_value());
   const net::NodeId winner = candidates[*pick].rm;
-  ResourceManager* rm = rm_by_node(winner);
-  assert(rm != nullptr);
 
   if (obs_ != nullptr) {
     // The negotiation span covers exploration + CFP fan-out + bid collection
@@ -604,72 +579,35 @@ void DfsClient::evaluate_bids(std::uint64_t open_id) {
                           obs::arg("winner", static_cast<std::uint64_t>(winner.value()))});
   }
 
-  DataRequestMsg request;
-  request.open_id = open_id;
-  request.file = ctx.file;
-  request.rate = ctx.required;
-  request.firm = params_.mode == core::AllocationMode::kFirm;
-  request.auto_complete = !ctx.explicit_session;
-  request.write = ctx.write_session;
-  request.tenant = params_.tenant;
   if (ctx.explicit_session) {
     sessions_.emplace(open_id, SessionInfo{winner, ctx.file, ctx.write_session});
   }
-
-  // Data-phase deadline: if the request or its completion is lost (network
-  // partition), the open must fail rather than hang. Whichever of the real
-  // completion and the deadline fires first wins.
-  auto settled = std::make_shared<bool>(false);
-  const auto settle = [this, settled](std::uint64_t id, const DataCompleteMsg& m) {
-    if (*settled) return;
-    *settled = true;
-    on_data_complete(id, m);
-  };
-  const SimTime expected = request.auto_complete
-                               ? ctx.required.time_to_transfer(directory_.get(ctx.file).size)
-                               : SimTime::zero();
-  sim_.schedule_after(expected + params_.bid_timeout, [settle, request] {
-    DataCompleteMsg timed_out;
-    timed_out.open_id = request.open_id;
-    timed_out.file = request.file;
-    timed_out.accepted = false;
-    settle(timed_out.open_id, timed_out);
-  });
-
-  net_.send(id_, winner, net::MessageKind::kDataRequest, DataRequestMsg::estimated_size(),
-            [this, rm, request, settle] {
-              if (!rm->is_online()) {
-                // Connection refused: the RM died between bidding and the
-                // data request. Report the allocation as rejected.
-                DataCompleteMsg refused;
-                refused.open_id = request.open_id;
-                refused.file = request.file;
-                refused.accepted = false;
-                net_.send(rm->node_id(), id_, net::MessageKind::kDataComplete,
-                          DataCompleteMsg::estimated_size(),
-                          [settle, refused] { settle(refused.open_id, refused); });
-                return;
-              }
-              rm->handle_data_request(id_, request, [settle, open_id = request.open_id](
-                                                        const DataCompleteMsg& m) {
-                settle(open_id, m);
-              });
-            });
+  // A stream is expected to finish after its transfer time; an explicit
+  // session only waits for the RM's admission verdict.
+  const SimTime expected = ctx.explicit_session
+                               ? SimTime::zero()
+                               : ctx.required.time_to_transfer(directory_.get(ctx.file).size);
+  send_data_request(winner,
+                    {.open_id = open_id,
+                     .file = ctx.file,
+                     .rate = ctx.required,
+                     .auto_complete = !ctx.explicit_session,
+                     .write = ctx.write_session},
+                    expected, [this](const DataCompleteMsg& m) { on_data_complete(m); });
 }
 
-void DfsClient::on_data_complete(std::uint64_t open_id, const DataCompleteMsg& msg) {
-  const auto it = opens_.find(open_id);
+void DfsClient::on_data_complete(const DataCompleteMsg& msg) {
+  const auto it = opens_.find(msg.open_id);
   if (it == opens_.end()) return;
 
   if (!msg.accepted) {
     // Firm-mode RM-side admission rejected (bid raced with another open).
-    sessions_.erase(open_id);
-    fail_open(open_id, Status::resource_exhausted("RM-side admission rejected the allocation"));
+    sessions_.erase(msg.open_id);
+    fail_open(msg.open_id, Status::resource_exhausted("RM-side admission rejected the allocation"));
     return;
   }
 
-  OpenContext ctx = std::move(it->second);
-  opens_.erase(it);
+  OpenContext ctx = take(opens_, it);
   if (obs_ != nullptr) {
     // For streams this span covers open through transfer completion; for
     // explicit sessions it ends at the successful open (the data phase is
@@ -680,7 +618,7 @@ void DfsClient::on_data_complete(std::uint64_t open_id, const DataCompleteMsg& m
                           obs::arg("rate_mbps", ctx.required.as_mbps())});
   }
   if (ctx.explicit_session) {
-    if (ctx.opened) ctx.opened(Result<std::uint64_t>{open_id});
+    if (ctx.opened) ctx.opened(Result<std::uint64_t>{msg.open_id});
   } else {
     ++counters_.streams_completed;
     if (ctx.done) ctx.done(Status::ok());
@@ -688,11 +626,8 @@ void DfsClient::on_data_complete(std::uint64_t open_id, const DataCompleteMsg& m
 }
 
 void DfsClient::fail_open(std::uint64_t open_id, const Status& status) {
-  const auto it = opens_.find(open_id);
-  assert(it != opens_.end());
   ++counters_.opens_failed;
-  OpenContext ctx = std::move(it->second);
-  opens_.erase(it);
+  OpenContext ctx = take(opens_, opens_.find(open_id));
   if (obs_ != nullptr) {
     obs_->trace.instant(obs_track_, "open_failed", "ecnp",
                         {obs::arg("file", static_cast<std::uint64_t>(ctx.file)),
@@ -719,15 +654,8 @@ void DfsClient::stream_striped(FileId file, Callback done) {
   ctx.started = sim_.now();
   ctx.done = std::move(done);
   ec_reads_.emplace(ec_id, std::move(ctx));
-
-  // Exploration deadline: an unreachable matchmaker fails the read.
-  ec_reads_.at(ec_id).timeout_event =
-      sim_.schedule_after(params_.bid_timeout, [this, ec_id] {
-        const auto it = ec_reads_.find(ec_id);
-        if (it == ec_reads_.end() || it->second.expected_bids > 0 || it->second.evaluated) return;
-        ++counters_.bid_timeouts;
-        fail_ec_read(ec_id, Status::unavailable("matchmaker unreachable"));
-      });
+  arm_exploration(ec_reads_, ec_id,
+                  [this](std::uint64_t id, const Status& s) { fail_ec_read(id, s); });
 
   // Layout exploration: one query to the base file's owning MM shard covers
   // the whole stripe (shard keys hash to the base id on the ring).
@@ -750,82 +678,47 @@ void DfsClient::on_layout(std::uint64_t ec_id, const LayoutReplyMsg& reply) {
   if (reply.k == 0) {
     // Not striped: the reply already carries the whole-file holders, so the
     // read falls into the ordinary negotiation with no second round trip.
-    EcReadContext ec = std::move(it->second);
-    ec_reads_.erase(it);
+    EcReadContext ec = take(ec_reads_, it);
     OpenContext ctx;
     ctx.file = ec.file;
     ctx.required = directory_.get(ec.file).bitrate;
     ctx.started = ec.started;
     ctx.done = std::move(ec.done);
     opens_.emplace(ec_id, std::move(ctx));
-    if (reply.holders.empty()) {
-      fail_open(ec_id, Status::not_found("no replica registered for file " +
-                                         std::to_string(reply.file)));
-      return;
-    }
-    send_cfps(ec_id, reply.holders);
+    on_holders(ec_id, reply.holders);
     return;
   }
 
   EcReadContext& ctx = it->second;
   ctx.k = reply.k;
   ctx.m = reply.m;
-  const FileMeta& meta = directory_.get(ctx.file);
   // Each of the k parallel sub-streams carries 1/k of the file's bitrate,
   // so a striped read occupies the same aggregate bandwidth as a whole-file
   // stream and finishes in the same occupation time.
-  ctx.shard_rate = meta.bitrate * (1.0 / static_cast<double>(reply.k));
-  const std::size_t n = static_cast<std::size_t>(reply.k) + reply.m;
-  ctx.shard_bids.resize(n);
-
-  std::size_t cfps = 0;
-  for (std::size_t s = 0; s < n; ++s) cfps += reply.offsets[s + 1] - reply.offsets[s];
-  if (cfps == 0) {
+  ctx.required = directory_.get(ctx.file).bitrate * (1.0 / static_cast<double>(reply.k));
+  if (reply.holders.empty()) {
     fail_ec_read(ec_id, Status::unavailable("stripe " + std::to_string(ctx.file) +
                                             " has no registered shard holders"));
     return;
   }
-  ctx.expected_bids = cfps;
-  ctx.timeout_event = sim_.schedule_after(params_.bid_timeout, [this, ec_id] {
-    const auto eit = ec_reads_.find(ec_id);
-    if (eit == ec_reads_.end() || eit->second.evaluated) return;
-    ++counters_.bid_timeouts;
-    evaluate_ec_bids(ec_id);
-  });
+  arm_bid_deadline(ec_reads_, ec_id, reply.holders.size(),
+                   [this](std::uint64_t id) { evaluate_ec_bids(id); });
 
   // Negotiation: CFP every shard holder at the sub-stream rate. The shard
-  // index rides in the delivery closures, so the wire messages are the
+  // index rides in the bid continuation, so the wire messages are the
   // ordinary CfpMsg/BidMsg pair.
+  const std::size_t n = static_cast<std::size_t>(reply.k) + reply.m;
   for (std::size_t s = 0; s < n; ++s) {
-    CfpMsg cfp;
-    cfp.open_id = ec_id;
-    cfp.file = storage::shard_key::pack(ctx.file, s, reply.k, reply.m);
-    cfp.required = ctx.shard_rate;
+    const CfpMsg cfp{ec_id, storage::shard_key::pack(ctx.file, s, reply.k, reply.m),
+                     ctx.required};
     for (std::uint32_t h = reply.offsets[s]; h < reply.offsets[s + 1]; ++h) {
-      const net::NodeId target = reply.holders[h];
-      ResourceManager* rm = rm_by_node(target);
-      assert(rm != nullptr && "MM returned an unknown RM");
-      ++counters_.cfps_sent;
-      net_.send(id_, target, net::MessageKind::kCfp, CfpMsg::estimated_size(),
-                [this, rm, cfp, ec_id, s] {
-                  if (!rm->is_online()) return;  // message lost at the dead host
-                  const BidMsg bid = rm->handle_cfp(cfp);
-                  net_.send(rm->node_id(), id_, net::MessageKind::kBid, BidMsg::estimated_size(),
-                            [this, ec_id, s, bid] { on_ec_bid(ec_id, s, bid); });
-                });
+      send_cfp(reply.holders[h], cfp, [this, s](const BidMsg& bid) {
+        file_bid(
+            ec_reads_, bid,
+            [s](EcReadContext& round) { round.bid_shard.push_back(static_cast<std::uint8_t>(s)); },
+            [this](std::uint64_t id) { evaluate_ec_bids(id); });
+      });
     }
-  }
-}
-
-void DfsClient::on_ec_bid(std::uint64_t ec_id, std::size_t shard, const BidMsg& bid) {
-  const auto it = ec_reads_.find(ec_id);
-  if (it == ec_reads_.end() || it->second.evaluated) return;  // late bid: drop
-  ++counters_.bids_received;
-  ++it->second.received_bids;
-  it->second.shard_bids[shard].push_back(bid);
-  if (it->second.received_bids == it->second.expected_bids) {
-    sim_.cancel(it->second.timeout_event);
-    evaluate_ec_bids(ec_id);
   }
 }
 
@@ -836,21 +729,22 @@ void DfsClient::evaluate_ec_bids(std::uint64_t ec_id) {
   // One winning bid per shard: the admissible holder with the best policy
   // score. Ties — and the random policy, which has no score — fall back to
   // the lowest node id so the pick is deterministic across event orderings.
-  const std::size_t n = ctx.shard_bids.size();
+  // One pass in arrival order visits each shard's bids in arrival order.
+  const std::size_t n = static_cast<std::size_t>(ctx.k) + ctx.m;
   std::vector<const BidMsg*> winner(n, nullptr);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (const BidMsg& b : ctx.shard_bids[s]) {
-      if (!b.has_file) continue;
-      if (!core::admits(params_.mode, b.info, ctx.shard_rate)) continue;
-      if (winner[s] == nullptr) {
-        winner[s] = &b;
-      } else if (policy_.weights().is_random()) {
-        if (b.rm < winner[s]->rm) winner[s] = &b;
-      } else {
-        const double cur = policy_.score(winner[s]->info);
-        const double alt = policy_.score(b.info);
-        if (alt > cur || (alt == cur && b.rm < winner[s]->rm)) winner[s] = &b;
-      }
+  for (std::size_t i = 0; i < ctx.bids.size(); ++i) {
+    const BidMsg& b = ctx.bids[i];
+    const BidMsg*& best = winner[ctx.bid_shard[i]];
+    if (!b.has_file) continue;
+    if (!core::admits(params_.mode, b.info, ctx.required)) continue;
+    if (best == nullptr) {
+      best = &b;
+    } else if (policy_.weights().is_random()) {
+      if (b.rm < best->rm) best = &b;
+    } else {
+      const double cur = policy_.score(best->info);
+      const double alt = policy_.score(b.info);
+      if (alt > cur || (alt == cur && b.rm < best->rm)) best = &b;
     }
   }
 
@@ -871,12 +765,7 @@ void DfsClient::evaluate_ec_bids(std::uint64_t ec_id) {
                                      " shards admissible"));
     return;
   }
-  for (const auto& [s, rm] : chosen) {
-    if (s >= k) {
-      ctx.parity_used = true;
-      break;
-    }
-  }
+  ctx.parity_used = chosen.back().first >= k;
 
   counters_.negotiation_us_sum +=
       static_cast<std::uint64_t>((sim_.now() - ctx.started).as_micros());
@@ -890,60 +779,20 @@ void DfsClient::evaluate_ec_bids(std::uint64_t ec_id) {
                                                       ctx.parity_used ? 1 : 0))});
   }
 
-  ctx.pending_shards = chosen.size();
-  for (const auto& [s, rm] : chosen) dispatch_ec_shard(ec_id, s, rm);
-}
-
-void DfsClient::dispatch_ec_shard(std::uint64_t ec_id, std::size_t shard, net::NodeId target) {
-  const auto it = ec_reads_.find(ec_id);
-  if (it == ec_reads_.end()) return;
-  const EcReadContext& ctx = it->second;
-  ResourceManager* rm = rm_by_node(target);
-  assert(rm != nullptr);
-
-  DataRequestMsg request;
-  request.open_id = ec_id;
-  request.file = storage::shard_key::pack(ctx.file, shard, ctx.k, ctx.m);
-  request.rate = ctx.shard_rate;
-  request.firm = params_.mode == core::AllocationMode::kFirm;
-  request.auto_complete = true;
-  request.write = false;
-  request.tenant = params_.tenant;
-
-  // Sub-stream deadline: a holder that crashes mid-transfer (or a lost
-  // completion) fails the read loudly instead of hanging it. The expected
-  // time is the whole-file occupation time — a shard carries 1/k of the
-  // bytes at 1/k of the rate.
-  auto settled = std::make_shared<bool>(false);
-  const auto settle = [this, settled, ec_id](const DataCompleteMsg& m) {
-    if (*settled) return;
-    *settled = true;
-    on_ec_shard_complete(ec_id, m.accepted);
-  };
+  // Sub-stream deadline: the expected time is the whole-file occupation
+  // time — a shard carries 1/k of the bytes at 1/k of the rate.
   const SimTime expected = directory_.get(ctx.file).duration();
-  sim_.schedule_after(expected + params_.bid_timeout, [settle, request] {
-    DataCompleteMsg timed_out;
-    timed_out.open_id = request.open_id;
-    timed_out.file = request.file;
-    timed_out.accepted = false;
-    settle(timed_out);
-  });
-
-  net_.send(id_, target, net::MessageKind::kDataRequest, DataRequestMsg::estimated_size(),
-            [this, rm, request, settle] {
-              if (!rm->is_online()) {
-                DataCompleteMsg refused;
-                refused.open_id = request.open_id;
-                refused.file = request.file;
-                refused.accepted = false;
-                net_.send(rm->node_id(), id_, net::MessageKind::kDataComplete,
-                          DataCompleteMsg::estimated_size(),
-                          [settle, refused] { settle(refused); });
-                return;
-              }
-              rm->handle_data_request(id_, request,
-                                      [settle](const DataCompleteMsg& m) { settle(m); });
-            });
+  ctx.pending_shards = chosen.size();
+  for (const auto& [s, rm] : chosen) {
+    send_data_request(rm,
+                      {.open_id = ec_id,
+                       .file = storage::shard_key::pack(ctx.file, s, ctx.k, ctx.m),
+                       .rate = ctx.required,
+                       .auto_complete = true},
+                      expected, [this](const DataCompleteMsg& m) {
+                        on_ec_shard_complete(m.open_id, m.accepted);
+                      });
+  }
 }
 
 void DfsClient::on_ec_shard_complete(std::uint64_t ec_id, bool accepted) {
@@ -959,8 +808,7 @@ void DfsClient::on_ec_shard_complete(std::uint64_t ec_id, bool accepted) {
                                             std::to_string(ctx.file) + " was rejected"));
     return;
   }
-  EcReadContext done_ctx = std::move(it->second);
-  ec_reads_.erase(it);
+  EcReadContext done_ctx = take(ec_reads_, it);
   ++counters_.streams_completed;
   ++counters_.ec_reads;
   if (done_ctx.parity_used) ++counters_.ec_degraded_reads;
@@ -974,12 +822,9 @@ void DfsClient::on_ec_shard_complete(std::uint64_t ec_id, bool accepted) {
 }
 
 void DfsClient::fail_ec_read(std::uint64_t ec_id, const Status& status) {
-  const auto it = ec_reads_.find(ec_id);
-  assert(it != ec_reads_.end());
   ++counters_.opens_failed;
   ++counters_.ec_failed_reads;
-  EcReadContext ctx = std::move(it->second);
-  ec_reads_.erase(it);
+  EcReadContext ctx = take(ec_reads_, ec_reads_.find(ec_id));
   if (obs_ != nullptr) {
     obs_->trace.instant(obs_track_, "ec_read_failed", "ecnp",
                         {obs::arg("file", static_cast<std::uint64_t>(ctx.file)),

@@ -154,7 +154,9 @@ class DfsClient {
     std::uint64_t streams_completed = 0;
     std::uint64_t bids_received = 0;
     std::uint64_t cfps_sent = 0;
-    std::uint64_t bid_timeouts = 0;      // negotiations decided on partial bids
+    /// Rounds decided at a deadline: on partial bids, or failed because the
+    /// matchmaker never answered the exploration.
+    std::uint64_t bid_timeouts = 0;
     std::uint64_t writes_attempted = 0;
     std::uint64_t writes_failed = 0;     // no replica could be placed
     std::uint64_t replicas_written = 0;
@@ -178,80 +180,86 @@ class DfsClient {
   }
 
  private:
-  struct OpenContext {
+  /// What every ECNP round keeps, whichever flow runs it. The shared legs
+  /// below (deadlines, bid intake) work on these fields alone.
+  struct Round {
     FileId file = 0;
-    Bandwidth required;
-    SimTime started;                   // negotiation-latency measurement
+    Bandwidth required;                // B_req, carried by every CFP of the round
+    SimTime started;                   // negotiation latency and trace spans
+    std::size_t expected_bids = 0;
+    std::vector<BidMsg> bids;          // in arrival order
+    sim::EventId timeout_event{};      // pending exploration or bid deadline
+    Callback done;                     // streamed access, write or striped read
+    bool evaluated = false;            // bids already scored (late bids drop)
+  };
+
+  struct OpenContext : Round {
     bool explicit_session = false;
     bool write_session = false;
-    std::size_t expected_bids = 0;
-    std::vector<BidMsg> bids;
-    bool evaluated = false;            // bids already scored (late bids drop)
-    sim::EventId timeout_event{};      // pending bid-timeout event
-    Callback done;                                   // streamed access
     std::function<void(Result<std::uint64_t>)> opened;  // explicit session
   };
 
-  struct WriteContext {
-    FileId file = 0;
-    Bandwidth required;
+  struct WriteContext : Round {
     Bytes size;
-    SimTime started;                   // write-path latency measurement
     std::size_t replicas = 1;
-    std::size_t expected_bids = 0;
-    std::vector<BidMsg> bids;
-    bool evaluated = false;
-    sim::EventId timeout_event{};
     std::vector<BidMsg> ranked;        // admissible candidates, best first
     std::size_t next_candidate = 0;    // failover cursor into `ranked`
     std::size_t pending_writes = 0;
     std::size_t succeeded = 0;
-    Callback done;
   };
 
-  /// One in-flight striped read. Bids arrive per shard (the CFP closure
-  /// carries the shard index); the read dispatches k parallel sub-streams
-  /// and completes when all of them finish.
-  struct EcReadContext {
-    FileId file = 0;
+  /// One in-flight striped read. `required` is the sub-stream rate (file
+  /// bitrate / k), and bid_shard[i] is the shard that bids[i] answers for.
+  /// The read dispatches k parallel sub-streams and completes when all of
+  /// them finish.
+  struct EcReadContext : Round {
     std::uint8_t k = 0;
     std::uint8_t m = 0;
-    Bandwidth shard_rate;              // file bitrate / k
-    SimTime started;
-    std::size_t expected_bids = 0;
-    std::size_t received_bids = 0;
-    std::vector<std::vector<BidMsg>> shard_bids;  // indexed by shard
-    bool evaluated = false;
-    sim::EventId timeout_event{};
-    std::size_t pending_shards = 0;    // dispatched sub-streams outstanding
     bool parity_used = false;          // any chosen shard index >= k
     bool shard_failed = false;         // a dispatched sub-stream was rejected
-    Callback done;
+    std::vector<std::uint8_t> bid_shard;
+    std::size_t pending_shards = 0;    // dispatched sub-streams outstanding
   };
 
-  void stream_striped(FileId file, Callback done);
-  void on_layout(std::uint64_t ec_id, const LayoutReplyMsg& reply);
-  void on_ec_bid(std::uint64_t ec_id, std::size_t shard, const BidMsg& bid);
-  void evaluate_ec_bids(std::uint64_t ec_id);
-  void dispatch_ec_shard(std::uint64_t ec_id, std::size_t shard, net::NodeId target);
-  void on_ec_shard_complete(std::uint64_t ec_id, bool accepted);
-  void fail_ec_read(std::uint64_t ec_id, const Status& status);
+  // The legs of one ECNP round, shared by every flow. Each flow passes its
+  // own continuation; no leg knows which flow called it.
+  template <typename Ctx, typename Fail>
+  void arm_exploration(util::SmallU64Map<Ctx>& table, std::uint64_t id, Fail fail);
+  template <typename Ctx, typename Evaluate>
+  void arm_bid_deadline(util::SmallU64Map<Ctx>& table, std::uint64_t id, std::size_t expected,
+                        Evaluate evaluate);
+  template <typename OnBid>
+  void send_cfp(net::NodeId target, const CfpMsg& cfp, OnBid on_bid);
+  template <typename Ctx, typename Keep, typename Evaluate>
+  void file_bid(util::SmallU64Map<Ctx>& table, const BidMsg& bid, Keep keep, Evaluate evaluate);
+  template <typename OnComplete>
+  void send_data_request(net::NodeId target, DataRequestMsg request, SimTime expected,
+                         OnComplete on_complete);
 
+  // Reads and explicit sessions.
+  void start_negotiation(FileId file, OpenContext ctx);
+  template <typename OnReply>
+  void ask_holders(FileId file, OnReply on_reply);
+  void on_holders(std::uint64_t open_id, const std::vector<net::NodeId>& holders);
+  void send_cfps(std::uint64_t open_id, const std::vector<net::NodeId>& targets);
+  void evaluate_bids(std::uint64_t open_id);
+  void on_data_complete(const DataCompleteMsg& msg);
+  void fail_open(std::uint64_t open_id, const Status& status);
+
+  // Whole-file writes.
   void on_write_candidates(std::uint64_t write_id, const ReplicaListReplyMsg& reply);
-  void on_write_bid(std::uint64_t write_id, const BidMsg& bid);
   void evaluate_write_bids(std::uint64_t write_id);
   void dispatch_write(std::uint64_t write_id, net::NodeId target);
-  void on_write_complete(std::uint64_t write_id, net::NodeId rm, const DataCompleteMsg& msg);
+  void on_write_complete(net::NodeId rm, const DataCompleteMsg& msg);
   void finish_write(std::uint64_t write_id);
+  void fail_write(std::uint64_t write_id, const Status& status);
 
-  void start_negotiation(std::uint64_t open_id, OpenContext ctx);
-  void on_holders(std::uint64_t open_id, const std::vector<net::NodeId>& holders);
-  void send_cfps(std::uint64_t open_id, const std::vector<net::NodeId>& holders);
-  void on_bid(std::uint64_t open_id, const BidMsg& bid);
-  void on_bid_timeout(std::uint64_t open_id);
-  void evaluate_bids(std::uint64_t open_id);
-  void on_data_complete(std::uint64_t open_id, const DataCompleteMsg& msg);
-  void fail_open(std::uint64_t open_id, const Status& status);
+  // Striped (EC) reads.
+  void stream_striped(FileId file, Callback done);
+  void on_layout(std::uint64_t ec_id, const LayoutReplyMsg& reply);
+  void evaluate_ec_bids(std::uint64_t ec_id);
+  void on_ec_shard_complete(std::uint64_t ec_id, bool accepted);
+  void fail_ec_read(std::uint64_t ec_id, const Status& status);
 
   [[nodiscard]] ResourceManager* rm_by_node(net::NodeId id) const;
 
@@ -291,6 +299,7 @@ class DfsClient {
     sim::EventId retry{};
   };
 
+  void end_session(util::SmallU64Map<SessionInfo>::iterator it, bool commit);
   void send_release(std::uint64_t session);
   void on_release_ack(std::uint64_t session);
 
