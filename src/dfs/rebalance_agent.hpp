@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "core/destination_selector.hpp"
@@ -69,7 +70,7 @@ class RebalanceAgent {
 
   /// Migrations currently in flight (the no-residual-state audit expects
   /// zero at quiescence).
-  [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_keys_.size(); }
 
   /// Optional observability sink; null (the default) disables all tracing.
   void set_observer(obs::Recorder* recorder, std::uint32_t track) {
@@ -112,7 +113,7 @@ class RebalanceAgent {
   std::vector<std::uint32_t> chosen_slots_;
   const RmIndex* rm_index_ = nullptr;
   std::uint64_t next_transfer_id_ = 1;
-  std::size_t in_flight_ = 0;
+  std::unordered_set<FileId> in_flight_keys_;  // one migration per key at a time
   Counters counters_;
   obs::Recorder* obs_ = nullptr;
   std::uint32_t obs_track_ = 0;

@@ -10,6 +10,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "check/invariant_auditor.hpp"
 #include "check/op_fuzzer.hpp"
@@ -96,28 +98,14 @@ TEST(EcVsReplication, EcRunsAreByteIdenticalAcrossRepeatsAndJobs) {
   EXPECT_EQ(jobs1, jobs2);  // jobs=1 vs 2
 }
 
-/// 6 small RMs on two machines, one client, EC(4,2), jitter-free.
-dfs::ClusterConfig six_rm_ec_config() {
-  dfs::ClusterConfig cfg;
-  cfg.machines.push_back(dfs::MachineSpec{"m1", Bandwidth::mbps(60.0)});
-  cfg.machines.push_back(dfs::MachineSpec{"m2", Bandwidth::mbps(60.0)});
-  for (int r = 1; r <= 6; ++r) {
-    cfg.rms.push_back(dfs::RmSpec{"RM" + std::to_string(r), Bandwidth::mbps(10.0),
-                                  Bytes::gib(1.0), static_cast<std::size_t>((r - 1) % 2)});
-  }
-  cfg.client_count = 1;
-  cfg.latency.jitter_mean = SimTime::zero();
-  cfg.layout = storage::LayoutPolicy::erasure(4, 2);
-  cfg.seed = 42;
-  return cfg;
-}
+using testing::six_rm_config;
 
 TEST(Rebalance, DrainEmptiesAnRmToZeroShardsWithoutLosingAny) {
   // Acceptance criterion verbatim: rebalance empties a drained RM to zero
   // shards. Four EC(2,1) stripes all pin shard 0 on RM0 but each leaves at
   // least two RMs free, so anti-affinity always has a legal destination
   // (a stripe spanning every RM would be undrainable by design).
-  auto cluster = testing::make_small_cluster(six_rm_ec_config(), testing::tiny_catalog(4));
+  auto cluster = testing::make_small_cluster(six_rm_config(), testing::tiny_catalog(4));
   ASSERT_TRUE(cluster->place_stripe(1, 2, 1, {0, 1, 2}).is_ok());
   ASSERT_TRUE(cluster->place_stripe(2, 2, 1, {0, 2, 3}).is_ok());
   ASSERT_TRUE(cluster->place_stripe(3, 2, 1, {0, 3, 4}).is_ok());
@@ -154,12 +142,53 @@ TEST(Rebalance, DrainEmptiesAnRmToZeroShardsWithoutLosingAny) {
   EXPECT_TRUE(auditor.audit_quiescent().empty());
 }
 
+TEST(Rebalance, ConcurrentDrainsOfOneRmMoveEachKeyOnce) {
+  // Two drains of RM0 snapshot the same key list. The second must skip the
+  // shard the first is already moving: migrating it again would land a
+  // second copy after the source's is gone, leaving shard 0 on two disks
+  // for good. Eight RMs leave two legal destinations outside the stripe.
+  dfs::ClusterConfig cfg = six_rm_config();
+  for (int r = 7; r <= 8; ++r) {
+    cfg.rms.push_back(dfs::RmSpec{"RM" + std::to_string(r), Bandwidth::mbps(10.0),
+                                  Bytes::gib(1.0), static_cast<std::size_t>((r - 1) % 2)});
+  }
+  auto cluster = testing::make_small_cluster(std::move(cfg), testing::tiny_catalog(1));
+  ASSERT_TRUE(cluster->place_stripe(1, 4, 2, {0, 1, 2, 3, 4, 5}).is_ok());
+  cluster->start();
+  cluster->simulator().run_until(cluster->simulator().now() + SimTime::seconds(1.0));
+
+  std::vector<std::pair<std::size_t, std::size_t>> outcomes;  // (migrated, failed)
+  for (int i = 0; i < 2; ++i) {
+    cluster->rebalance().drain(cluster->rm(0), [&](std::size_t ok, std::size_t bad) {
+      outcomes.emplace_back(ok, bad);
+    });
+  }
+  cluster->simulator().run();
+
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].first + outcomes[1].first, 1u) << "the shard moved twice";
+  EXPECT_EQ(outcomes[0].second + outcomes[1].second, 0u);
+  EXPECT_EQ(cluster->rebalance().counters().migrations_started, 1u);
+  EXPECT_EQ(cluster->rebalance().in_flight(), 0u);
+
+  const dfs::FileId shard0 = storage::shard_key::pack(1, 0, 4, 2);
+  std::size_t disks = 0;
+  for (std::size_t i = 0; i < cluster->rm_count(); ++i) {
+    if (cluster->rm(i).disk().contains(shard0)) ++disks;
+  }
+  EXPECT_EQ(disks, 1u);
+  EXPECT_FALSE(cluster->rm(0).disk().contains(shard0));
+  EXPECT_EQ(cluster->mm().stripe_of(1)->shards[0].size(), 1u);
+  check::InvariantAuditor auditor{*cluster};
+  EXPECT_TRUE(auditor.audit_quiescent().empty());
+}
+
 TEST(Rebalance, RebalanceOnceMovesAShardOffTheFullestRm) {
   // EC(2,1) stripes that overlap only on RM0: it holds two shards while
   // RM5 holds none, so one rebalance step must move exactly one shard off
   // the fullest disk (anti-affinity keeps it away from each stripe's own
   // RMs — the union exclusion leaves {3,4,5} / {1,2,5} as destinations).
-  auto cluster = testing::make_small_cluster(six_rm_ec_config(), testing::tiny_catalog(2));
+  auto cluster = testing::make_small_cluster(six_rm_config(), testing::tiny_catalog(2));
   ASSERT_TRUE(cluster->place_stripe(1, 2, 1, {0, 1, 2}).is_ok());
   ASSERT_TRUE(cluster->place_stripe(2, 2, 1, {0, 3, 4}).is_ok());
   cluster->start();
