@@ -331,9 +331,10 @@ void InvariantAuditor::check_mm_disk_agreement(std::vector<Violation>& out) {
 
 void InvariantAuditor::check_no_residual_state(std::vector<Violation>& out) {
   const dfs::Cluster& c = cluster_;
-  if (c.rebalance().in_flight() != 0) {
-    report(out, "no-residual-state", "ROADMAP item 4", "rebalance-agent",
-           std::to_string(c.rebalance().in_flight()) + " migrations still in flight");
+  if (c.replication().migrations_in_flight() != 0) {
+    report(out, "no-residual-state", "ROADMAP item 4", "replication-agent",
+           std::to_string(c.replication().migrations_in_flight()) +
+               " migrations still in flight");
   }
   for (std::size_t i = 0; i < c.rm_count(); ++i) {
     const dfs::ResourceManager& rm = c.rm(i);

@@ -411,7 +411,7 @@ void OpFuzzer::apply(dfs::Cluster& cluster, const FuzzOp& op) const {
     case FuzzOp::Kind::kDrain: {
       dfs::ResourceManager& rm =
           cluster.rm(static_cast<std::size_t>(op.arg) % cluster.rm_count());
-      if (rm.is_online()) cluster.rebalance().drain(rm);
+      if (rm.is_online()) cluster.replication().drain(rm);
       break;
     }
   }

@@ -15,7 +15,6 @@
 #include "dfs/file_types.hpp"
 #include "dfs/gc_agent.hpp"
 #include "dfs/mm_directory.hpp"
-#include "dfs/rebalance_agent.hpp"
 #include "dfs/replication_agent.hpp"
 #include "dfs/resource_manager.hpp"
 #include "dfs/rm_index.hpp"
@@ -92,8 +91,6 @@ class Cluster {
   [[nodiscard]] const MetadataDirectory& mm() const { return *mm_; }
   [[nodiscard]] ReplicationAgent& replication() { return *agent_; }
   [[nodiscard]] const ReplicationAgent& replication() const { return *agent_; }
-  [[nodiscard]] RebalanceAgent& rebalance() { return *rebalance_; }
-  [[nodiscard]] const RebalanceAgent& rebalance() const { return *rebalance_; }
   [[nodiscard]] GarbageCollector& gc() { return *gc_; }
   [[nodiscard]] const GarbageCollector& gc() const { return *gc_; }
   [[nodiscard]] const FileDirectory& directory() const { return directory_; }
@@ -139,7 +136,6 @@ class Cluster {
   std::vector<std::unique_ptr<ResourceManager>> rms_;
   RmIndex rm_index_;  // shared NodeId -> RM lookup (clients, replication)
   std::unique_ptr<ReplicationAgent> agent_;
-  std::unique_ptr<RebalanceAgent> rebalance_;
   std::unique_ptr<GarbageCollector> gc_;
   std::vector<std::unique_ptr<DfsClient>> clients_;
   std::unique_ptr<qos::QosManager> qos_;  // null when config_.tenants is empty

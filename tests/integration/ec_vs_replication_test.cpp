@@ -118,7 +118,7 @@ TEST(Rebalance, DrainEmptiesAnRmToZeroShardsWithoutLosingAny) {
 
   std::size_t migrated = 0;
   std::size_t failed = 0;
-  cluster->rebalance().drain(cluster->rm(0), [&](std::size_t ok, std::size_t bad) {
+  cluster->replication().drain(cluster->rm(0), [&](std::size_t ok, std::size_t bad) {
     migrated = ok;
     failed = bad;
   });
@@ -127,8 +127,8 @@ TEST(Rebalance, DrainEmptiesAnRmToZeroShardsWithoutLosingAny) {
   EXPECT_EQ(cluster->rm(0).disk().file_count(), 0u);
   EXPECT_EQ(migrated, before);
   EXPECT_EQ(failed, 0u);
-  EXPECT_EQ(cluster->rebalance().in_flight(), 0u);
-  EXPECT_EQ(cluster->rebalance().counters().drains_completed, 1u);
+  EXPECT_EQ(cluster->replication().migrations_in_flight(), 0u);
+  EXPECT_EQ(cluster->replication().counters().drains_completed, 1u);
 
   // Not one shard lost: every stripe is fully live in the MM and the whole
   // quiescent invariant catalog (stripe/rebalance conservation included)
@@ -159,7 +159,7 @@ TEST(Rebalance, ConcurrentDrainsOfOneRmMoveEachKeyOnce) {
 
   std::vector<std::pair<std::size_t, std::size_t>> outcomes;  // (migrated, failed)
   for (int i = 0; i < 2; ++i) {
-    cluster->rebalance().drain(cluster->rm(0), [&](std::size_t ok, std::size_t bad) {
+    cluster->replication().drain(cluster->rm(0), [&](std::size_t ok, std::size_t bad) {
       outcomes.emplace_back(ok, bad);
     });
   }
@@ -168,8 +168,8 @@ TEST(Rebalance, ConcurrentDrainsOfOneRmMoveEachKeyOnce) {
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].first + outcomes[1].first, 1u) << "the shard moved twice";
   EXPECT_EQ(outcomes[0].second + outcomes[1].second, 0u);
-  EXPECT_EQ(cluster->rebalance().counters().migrations_started, 1u);
-  EXPECT_EQ(cluster->rebalance().in_flight(), 0u);
+  EXPECT_EQ(cluster->replication().counters().migrations_started, 1u);
+  EXPECT_EQ(cluster->replication().migrations_in_flight(), 0u);
 
   const dfs::FileId shard0 = storage::shard_key::pack(1, 0, 4, 2);
   std::size_t disks = 0;
@@ -195,12 +195,12 @@ TEST(Rebalance, RebalanceOnceMovesAShardOffTheFullestRm) {
   cluster->simulator().run_until(cluster->simulator().now() + SimTime::seconds(1.0));
 
   const Bytes used_before = cluster->rm(0).disk().used();
-  ASSERT_TRUE(cluster->rebalance().rebalance_once());
+  ASSERT_TRUE(cluster->replication().rebalance_once());
   cluster->simulator().run();
 
   EXPECT_LT(cluster->rm(0).disk().used().count(), used_before.count());
-  EXPECT_EQ(cluster->rebalance().counters().migrations_completed, 1u);
-  EXPECT_EQ(cluster->rebalance().in_flight(), 0u);
+  EXPECT_EQ(cluster->replication().counters().migrations_completed, 1u);
+  EXPECT_EQ(cluster->replication().migrations_in_flight(), 0u);
   check::InvariantAuditor auditor{*cluster};
   EXPECT_TRUE(auditor.audit_quiescent().empty());
 }
