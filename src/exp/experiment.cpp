@@ -9,7 +9,6 @@
 #include "obs/recorder.hpp"
 #include "stats/obs_metrics.hpp"
 #include "util/logging.hpp"
-#include "util/stats_accum.hpp"
 #include "util/table.hpp"
 #include "workload/request_scheduler.hpp"
 #include "workload/trace.hpp"
@@ -376,31 +375,6 @@ ExperimentResult run_averaged(ExperimentParams params, std::size_t seeds, std::s
   avg.mean_negotiation_ms /= n;
   avg.simulated_seconds /= n;
   return avg;
-}
-
-SpreadResult run_spread(ExperimentParams params, std::size_t seeds) {
-  return run_spread(std::move(params), seeds, 1);
-}
-
-SpreadResult run_spread(ExperimentParams params, std::size_t seeds, std::size_t jobs) {
-  if (seeds == 0) seeds = 1;
-  StatsAccumulator fail;
-  StatsAccumulator over;
-  const std::vector<ExperimentResult> runs = run_seed_grid(params, seeds, jobs);
-  for (std::size_t s = 0; s < seeds; ++s) {
-    fail.add(runs[s].fail_rate);
-    over.add(runs[s].overallocate_ratio);
-  }
-  const auto spread = [seeds](const StatsAccumulator& a) {
-    MetricSpread m;
-    m.mean = a.mean();
-    m.stddev = a.stddev();
-    m.min = a.min();
-    m.max = a.max();
-    m.seeds = seeds;
-    return m;
-  };
-  return SpreadResult{spread(fail), spread(over)};
 }
 
 std::string summarize(const ExperimentResult& r) {

@@ -76,9 +76,9 @@ struct ExperimentParams {
   /// Write a deterministic Chrome trace-event JSON of the run to this path
   /// (docs/OBSERVABILITY.md). Unset (the default) disables tracing entirely
   /// — no recorder is attached and no hot-path work is done. Distinct from
-  /// `trace_path`, which is a *workload replay input*. Under run_averaged /
-  /// run_spread only the first seed records (so the trace is independent of
-  /// the seed count and jobs value).
+  /// `trace_path`, which is a *workload replay input*. Under run_averaged
+  /// only the first seed records (so the trace is independent of the seed
+  /// count and jobs value).
   std::optional<std::string> obs_trace_path;
 
   /// Request replay starts after the registration protocol settles.
@@ -169,28 +169,5 @@ struct [[nodiscard]] ExperimentResult {
 /// One-screen human-readable summary (scalar metrics, workload accounting,
 /// replication/GC activity, control-plane traffic).
 [[nodiscard]] std::string summarize(const ExperimentResult& result);
-
-/// Distribution of one scalar metric across seeds.
-struct MetricSpread {
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  std::size_t seeds = 0;
-};
-
-struct [[nodiscard]] SpreadResult {
-  MetricSpread fail_rate;
-  MetricSpread overallocate_ratio;
-};
-
-/// Run `seeds` experiments and report the metric distributions — the paper
-/// reports single runs, so the spread quantifies how much weight a single
-/// cell can carry. `jobs` parallelizes across seeds exactly like
-/// run_averaged: the accumulators fold in seed order, so the spread is
-/// bit-identical at every jobs value.
-[[nodiscard]] SpreadResult run_spread(ExperimentParams params, std::size_t seeds,
-                                      std::size_t jobs);
-[[nodiscard]] SpreadResult run_spread(ExperimentParams params, std::size_t seeds);
 
 }  // namespace sqos::exp

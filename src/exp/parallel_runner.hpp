@@ -4,10 +4,10 @@
 // simulation, so a (config × seed) sweep is embarrassingly parallel — the
 // only thing parallelism must never change is the *output*. This pool makes
 // that contract structural: results are merged by submission index, never by
-// completion order, so `run_averaged`, `run_spread` and the bench sweep
-// loops produce bit-identical tables and sqos-bench-v1 documents at any
-// `jobs` value. The determinism golden test and the perf-gate exact-cell
-// comparison are the correctness oracle for the parallelism.
+// completion order, so `run_averaged` and the bench sweep loops produce
+// bit-identical tables and sqos-bench-v1 documents at any `jobs` value. The
+// determinism golden test and the perf-gate exact-cell comparison are the
+// correctness oracle for the parallelism.
 //
 // Design: a fixed-size worker pool (std::jthread, no third-party deps) fed
 // by a bounded task queue. `jobs == 1` spawns no threads at all — submit()

@@ -1,5 +1,5 @@
 // Parallel-vs-serial equivalence over the real experiment stack: the merge
-// is position-based, so run_averaged / run_spread must produce bit-identical
+// is position-based, so run_averaged must produce bit-identical
 // results at every jobs value. EXPECT_EQ on doubles is deliberate — the
 // contract is exact bitwise equality, not tolerance. Under TSan this doubles
 // as the data-race probe for concurrent run_experiment calls.
@@ -68,23 +68,6 @@ TEST(ParallelEquivalence, RunAveragedDefaultJobsMatchesSerial) {
   // numbers must not move.
   const ExperimentParams params = small_params();
   expect_identical(run_averaged(params, 2, 1), run_averaged(params, 2, 0));
-}
-
-TEST(ParallelEquivalence, RunSpreadIsBitIdenticalAcrossJobs) {
-  ExperimentParams params = small_params();
-  params.mode = core::AllocationMode::kFirm;
-  const SpreadResult serial = run_spread(params, 3, 1);
-  const SpreadResult wide = run_spread(params, 3, 3);
-  EXPECT_EQ(serial.fail_rate.mean, wide.fail_rate.mean);
-  EXPECT_EQ(serial.fail_rate.stddev, wide.fail_rate.stddev);
-  EXPECT_EQ(serial.fail_rate.min, wide.fail_rate.min);
-  EXPECT_EQ(serial.fail_rate.max, wide.fail_rate.max);
-  EXPECT_EQ(serial.fail_rate.seeds, wide.fail_rate.seeds);
-  EXPECT_EQ(serial.overallocate_ratio.mean, wide.overallocate_ratio.mean);
-  EXPECT_EQ(serial.overallocate_ratio.stddev, wide.overallocate_ratio.stddev);
-  EXPECT_EQ(serial.overallocate_ratio.min, wide.overallocate_ratio.min);
-  EXPECT_EQ(serial.overallocate_ratio.max, wide.overallocate_ratio.max);
-  EXPECT_EQ(serial.overallocate_ratio.seeds, wide.overallocate_ratio.seeds);
 }
 
 }  // namespace
