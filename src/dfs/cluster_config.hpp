@@ -32,6 +32,8 @@ struct RmSpec {
   std::size_t machine = 0;                // index into ClusterConfig::machines
 };
 
+/// ECNP sends CFPs to the MM's holders of the file; plain CNP broadcasts
+/// them to every RM.
 enum class NegotiationModel : std::uint8_t { kEcnp, kCnp };
 
 struct ClusterConfig {

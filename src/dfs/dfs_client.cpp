@@ -456,7 +456,7 @@ void DfsClient::start_negotiation(FileId file, OpenContext ctx) {
   // Plain CNP has no matchmaker: broadcast the CFP to every known RM. Write
   // sessions broadcast under ECNP too: the MM's holder query would return
   // nothing for a fresh file, while every RM is a placement candidate.
-  const bool broadcast = params_.negotiation == Negotiation::kCnp || ctx.write_session;
+  const bool broadcast = params_.negotiation == NegotiationModel::kCnp || ctx.write_session;
   opens_.emplace(open_id, std::move(ctx));
   if (broadcast) {
     send_cfps(open_id, rm_index_->nodes());

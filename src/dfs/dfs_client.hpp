@@ -19,6 +19,7 @@
 #include "core/admission.hpp"
 #include "core/qos_types.hpp"
 #include "core/selection_policy.hpp"
+#include "dfs/cluster_config.hpp"
 #include "dfs/ecnp_messages.hpp"
 #include "dfs/file_types.hpp"
 #include "dfs/mm_directory.hpp"
@@ -43,13 +44,11 @@ namespace sqos::dfs {
 
 class DfsClient {
  public:
-  enum class Negotiation : std::uint8_t { kEcnp, kCnp };
-
   struct Params {
     std::string name;  // "DFSC1" ..
     core::AllocationMode mode = core::AllocationMode::kFirm;
     core::PolicyWeights policy;
-    Negotiation negotiation = Negotiation::kEcnp;
+    NegotiationModel negotiation = NegotiationModel::kEcnp;
     /// Negotiation deadline: bids not received by then are treated as
     /// refusals (a crashed RM must not hang every open that CFPs it — the
     /// matchmaker's resource list can be stale, §II).
