@@ -19,15 +19,23 @@ int main(int argc, char** argv) {
   const std::vector<double> betas =
       args.quick ? std::vector<double>{-1.0, 0.0, 1.0}
                  : std::vector<double>{-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0};
+  bench::CellSweep sweep{args};
   for (const double beta : betas) {
     exp::ExperimentParams params;
     params.users = args.cfg.get_count("users", 256);
     params.policy = core::PolicyWeights{1.0, beta, 0.0};
 
     params.mode = core::AllocationMode::kSoft;
-    const exp::ExperimentResult soft = bench::run(args, params);
+    sweep.submit(params);
     params.mode = core::AllocationMode::kFirm;
-    const exp::ExperimentResult firm = bench::run(args, params);
+    sweep.submit(params);
+  }
+  sweep.run();
+
+  std::size_t cell = 0;
+  for (const double beta : betas) {
+    const exp::ExperimentResult& soft = sweep.result(cell++);
+    const exp::ExperimentResult& firm = sweep.result(cell++);
 
     table.add_row({format_double(beta, 1), format_percent(soft.overallocate_ratio, 3),
                    format_percent(firm.fail_rate, 3)});

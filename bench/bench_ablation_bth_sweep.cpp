@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const std::vector<double> thresholds =
       args.quick ? std::vector<double>{0.05, 0.20, 0.60}
                  : std::vector<double>{0.05, 0.10, 0.20, 0.40, 0.60};
+  bench::CellSweep sweep{args};
   for (const double bth : thresholds) {
     exp::ExperimentParams params;
     params.users = args.cfg.get_count("users", 256);
@@ -28,9 +29,16 @@ int main(int argc, char** argv) {
     params.replication.trigger_threshold = bth;
 
     params.mode = core::AllocationMode::kSoft;
-    const exp::ExperimentResult soft = bench::run(args, params);
+    sweep.submit(params);
     params.mode = core::AllocationMode::kFirm;
-    const exp::ExperimentResult firm = bench::run(args, params);
+    sweep.submit(params);
+  }
+  sweep.run();
+
+  std::size_t cell = 0;
+  for (const double bth : thresholds) {
+    const exp::ExperimentResult& soft = sweep.result(cell++);
+    const exp::ExperimentResult& firm = sweep.result(cell++);
 
     table.add_row({format_percent(bth, 0), format_percent(soft.overallocate_ratio, 2),
                    format_percent(firm.fail_rate, 2), std::to_string(soft.replication_rounds),

@@ -20,14 +20,25 @@ int main(int argc, char** argv) {
 
   const std::vector<std::size_t> users =
       args.quick ? std::vector<std::size_t>{64} : std::vector<std::size_t>{64, 128, 256};
+  const dfs::NegotiationModel models[] = {dfs::NegotiationModel::kEcnp,
+                                          dfs::NegotiationModel::kCnp};
+  bench::CellSweep sweep{args};
   for (const std::size_t u : users) {
-    for (const auto model : {dfs::NegotiationModel::kEcnp, dfs::NegotiationModel::kCnp}) {
+    for (const dfs::NegotiationModel model : models) {
       exp::ExperimentParams params;
       params.users = u;
       params.mode = core::AllocationMode::kFirm;
       params.policy = core::PolicyWeights::p100();
       params.negotiation = model;
-      const exp::ExperimentResult r = bench::run(args, params);
+      sweep.submit(params);
+    }
+  }
+  sweep.run();
+
+  std::size_t cell = 0;
+  for (const std::size_t u : users) {
+    for (const dfs::NegotiationModel model : models) {
+      const exp::ExperimentResult& r = sweep.result(cell++);
       const char* name = model == dfs::NegotiationModel::kEcnp ? "ECNP" : "CNP";
       const double per_open =
           r.requests == 0 ? 0.0

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
   const std::vector<double> thresholds =
       args.quick ? std::vector<double>{-1.0, 600.0}
                  : std::vector<double>{-1.0, 120.0, 300.0, 600.0, 1800.0};
+  bench::CellSweep sweep{args};
   for (const double thr : thresholds) {
     exp::ExperimentParams params;
     params.users = args.cfg.get_count("users", 256);
@@ -35,7 +36,13 @@ int main(int argc, char** argv) {
       params.deletion.idle_threshold = SimTime::seconds(thr);
       params.deletion.scan_interval = SimTime::seconds(60.0);
     }
-    const exp::ExperimentResult r = bench::run(args, params);
+    sweep.submit(params);
+  }
+  sweep.run();
+
+  std::size_t cell = 0;
+  for (const double thr : thresholds) {
+    const exp::ExperimentResult& r = sweep.result(cell++);
     const std::string label = thr < 0.0 ? "off" : format_double(thr, 0) + "s";
     table.add_row({label, format_percent(r.overallocate_ratio, 2),
                    std::to_string(r.final_total_replicas), std::to_string(r.copies_completed),

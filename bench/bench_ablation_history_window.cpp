@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const std::vector<double> expiries =
       args.quick ? std::vector<double>{60.0} : std::vector<double>{15.0, 60.0, 240.0};
 
+  bench::CellSweep sweep{args};
   for (const std::size_t limit : limits) {
     for (const double expiry : expiries) {
       dfs::ClusterConfig cluster = exp::paper_cluster_config();
@@ -31,9 +32,18 @@ int main(int argc, char** argv) {
       params.cluster = cluster;
 
       params.mode = core::AllocationMode::kSoft;
-      const exp::ExperimentResult soft = bench::run(args, params);
+      sweep.submit(params);
       params.mode = core::AllocationMode::kFirm;
-      const exp::ExperimentResult firm = bench::run(args, params);
+      sweep.submit(params);
+    }
+  }
+  sweep.run();
+
+  std::size_t cell = 0;
+  for (const std::size_t limit : limits) {
+    for (const double expiry : expiries) {
+      const exp::ExperimentResult& soft = sweep.result(cell++);
+      const exp::ExperimentResult& firm = sweep.result(cell++);
 
       table.add_row({std::to_string(limit), format_double(expiry, 0),
                      format_percent(soft.overallocate_ratio, 3),

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const std::vector<double> ttls =
       args.quick ? std::vector<double>{0.0, 300.0}
                  : std::vector<double>{0.0, 60.0, 300.0, 1800.0, 7200.0};
+  bench::CellSweep sweep{args};
   for (const double ttl : ttls) {
     dfs::ClusterConfig cluster = exp::paper_cluster_config();
     cluster.holder_cache_ttl = SimTime::seconds(ttl);
@@ -32,9 +33,16 @@ int main(int argc, char** argv) {
     params.cluster = cluster;
 
     params.mode = core::AllocationMode::kFirm;
-    const exp::ExperimentResult firm = bench::run(args, params);
+    sweep.submit(params);
     params.mode = core::AllocationMode::kSoft;
-    const exp::ExperimentResult soft = bench::run(args, params);
+    sweep.submit(params);
+  }
+  sweep.run();
+
+  std::size_t cell = 0;
+  for (const double ttl : ttls) {
+    const exp::ExperimentResult& firm = sweep.result(cell++);
+    const exp::ExperimentResult& soft = sweep.result(cell++);
 
     const std::string label = ttl == 0.0 ? "off" : format_double(ttl, 0) + "s";
     table.add_row({label, format_percent(firm.fail_rate, 2),

@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   const std::size_t users = args.cfg.get_count("users", 256);
   const std::size_t phases = args.cfg.get_count("phases", 4);
 
-  // Build the shifting trace against the exact catalog run_experiment will
-  // regenerate from the same seed forks.
+  // Build the shifting trace against the exact catalog a base-seed run
+  // regenerates from the same seed forks.
   exp::ExperimentParams proto;
   proto.users = users;
   proto.seed = args.base_seed;
@@ -47,16 +47,24 @@ int main(int argc, char** argv) {
 
   const char* names[] = {"static", "Baseline Rep(3,8)", "Rep(1,8)", "Rep(1,3)"};
   const auto strategies = bench::strategy_sweep();
-  for (std::size_t si = 0; si < strategies.size(); ++si) {
+  bench::CellSweep sweep{args};
+  for (const core::ReplicationConfig& rep : strategies) {
     exp::ExperimentParams params;
     params.users = users;
     params.mode = core::AllocationMode::kSoft;
     params.policy = core::PolicyWeights::p100();
-    params.replication = strategies[si];
+    params.replication = rep;
 
-    const exp::ExperimentResult stationary = bench::run(args, params);
+    sweep.submit(params);
     params.trace_path = trace_path;
-    const exp::ExperimentResult shifted = bench::run(args, params);
+    sweep.submit(params);
+  }
+  sweep.run();
+
+  std::size_t cell = 0;
+  for (std::size_t si = 0; si < strategies.size(); ++si) {
+    const exp::ExperimentResult& stationary = sweep.result(cell++);
+    const exp::ExperimentResult& shifted = sweep.result(cell++);
 
     table.add_row({names[si], format_percent(stationary.overallocate_ratio, 2),
                    format_percent(shifted.overallocate_ratio, 2),

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::size_t> shard_counts =
       args.quick ? std::vector<std::size_t>{1, 4} : std::vector<std::size_t>{1, 2, 4, 8};
+  bench::CellSweep sweep{args};
   for (const std::size_t shards : shard_counts) {
     dfs::ClusterConfig cluster = exp::paper_cluster_config();
     cluster.mm_shards = shards;
@@ -30,9 +31,13 @@ int main(int argc, char** argv) {
     params.policy = core::PolicyWeights::p100();
     params.replication = core::ReplicationConfig::rep(1, 3);
     params.cluster = cluster;
-    params.seed = args.base_seed;
+    sweep.submit(params);
+  }
+  sweep.run();
 
-    const exp::ExperimentResult r = exp::run_experiment(params);
+  for (std::size_t si = 0; si < shard_counts.size(); ++si) {
+    const std::size_t shards = shard_counts[si];
+    const exp::ExperimentResult& r = sweep.result(si);
 
     const std::uint64_t max_shard =
         r.mm_shard_messages.empty()

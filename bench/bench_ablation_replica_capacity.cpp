@@ -21,13 +21,19 @@ int main(int argc, char** argv) {
 
   const char* names[] = {"static", "Baseline Rep(3,8)", "Rep(1,8)", "Rep(1,3)"};
   const auto strategies = bench::strategy_sweep();
-  for (std::size_t si = 0; si < strategies.size(); ++si) {
+  bench::CellSweep sweep{args};
+  for (const core::ReplicationConfig& rep : strategies) {
     exp::ExperimentParams params;
     params.users = args.cfg.get_count("users", 256);
     params.mode = core::AllocationMode::kSoft;
     params.policy = core::PolicyWeights::p100();
-    params.replication = strategies[si];
-    const exp::ExperimentResult r = bench::run(args, params);
+    params.replication = rep;
+    sweep.submit(params);
+  }
+  sweep.run();
+
+  for (std::size_t si = 0; si < strategies.size(); ++si) {
+    const exp::ExperimentResult& r = sweep.result(si);
     table.add_row(
         {names[si], format_percent(r.overallocate_ratio, 2),
          std::to_string(r.final_total_replicas), std::to_string(r.copies_completed),

@@ -44,9 +44,8 @@ double calibration_spin_ns(std::size_t iters, std::uint64_t& sink) {
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
-    // Same compiler barrier as benchmark::DoNotOptimize (this binary does
-    // not link google-benchmark): without it the dead recurrence folds away
-    // and the "spin cost" measures clock overhead.
+    // Compiler barrier: without it the dead recurrence folds away and the
+    // "spin cost" measures clock overhead.
     asm volatile("" : "+r"(x));
   }
   const auto t1 = Clock::now();

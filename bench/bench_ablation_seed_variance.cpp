@@ -39,24 +39,33 @@ int main(int argc, char** argv) {
 
   // Per-seed metric matrix: cells share the seed (and hence the catalog,
   // placement and arrivals), so paired comparisons factor the workload
-  // noise out.
+  // noise out. Each seed is one single-seed sweep over the cells.
   std::vector<std::vector<double>> per_seed(std::size(cells));
+  for (std::size_t s = 0; s < seeds; ++s) {
+    bench::BenchArgs seed_args = args;
+    seed_args.seeds = 1;
+    seed_args.base_seed = args.base_seed + s;
+    bench::CellSweep sweep{seed_args};
+    for (const Cell& cell : cells) {
+      exp::ExperimentParams params;
+      params.users = args.cfg.get_count("users", 256);
+      params.mode = cell.mode;
+      params.policy = cell.policy;
+      params.replication = cell.rep;
+      sweep.submit(params);
+    }
+    sweep.run();
+    for (std::size_t ci = 0; ci < std::size(cells); ++ci) {
+      const exp::ExperimentResult& r = sweep.result(ci);
+      per_seed[ci].push_back(cells[ci].mode == core::AllocationMode::kFirm
+                                 ? r.fail_rate
+                                 : r.overallocate_ratio);
+    }
+  }
   for (std::size_t ci = 0; ci < std::size(cells); ++ci) {
     const Cell& cell = cells[ci];
-    exp::ExperimentParams params;
-    params.users = args.cfg.get_count("users", 256);
-    params.mode = cell.mode;
-    params.policy = cell.policy;
-    params.replication = cell.rep;
     StatsAccumulator acc;
-    for (std::size_t s = 0; s < seeds; ++s) {
-      params.seed = args.base_seed + s;
-      const exp::ExperimentResult r = exp::run_experiment(params);
-      const double metric =
-          cell.mode == core::AllocationMode::kFirm ? r.fail_rate : r.overallocate_ratio;
-      per_seed[ci].push_back(metric);
-      acc.add(metric);
-    }
+    for (const double metric : per_seed[ci]) acc.add(metric);
     const char* metric =
         cell.mode == core::AllocationMode::kFirm ? "fail rate" : "over-allocate";
     table.add_row({cell.name, metric, format_percent(acc.mean(), 2),

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -125,15 +126,6 @@ inline BenchArgs parse_args(int argc, char** argv,
   return args;
 }
 
-/// The user counts swept by Tables I and III.
-inline std::vector<std::size_t> user_sweep(const BenchArgs& args) {
-  if (args.cfg.contains("users")) {
-    return {args.cfg.get_count("users", 256)};
-  }
-  if (args.quick) return {64, 256};
-  return {64, 128, 192, 256};
-}
-
 /// The four §VI.C replication strategies in paper order.
 inline std::vector<core::ReplicationConfig> strategy_sweep() {
   return {core::ReplicationConfig::static_only(), core::ReplicationConfig::baseline(),
@@ -178,32 +170,19 @@ inline void record_cell_json(const exp::ExperimentParams& params,
   sink.cells_wall_ms += wall_ms;
 }
 
-/// Run one cell immediately (figures and single-config ablations). The
-/// per-seed runs fan out over `args.jobs` workers; the seed-ordered merge
-/// keeps the averaged result bit-identical to a serial run.
-inline exp::ExperimentResult run(const BenchArgs& args, exp::ExperimentParams params) {
-  params.seed = args.base_seed;
-  const auto t0 = std::chrono::steady_clock::now();
-  exp::ExperimentResult result = exp::run_averaged(params, args.seeds, args.jobs);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double wall_ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(t1 - t0).count();
-  record_cell_json(params, result, wall_ms);
-  return result;
-}
-
-/// Deferred grid execution for the table sweeps: binaries submit every cell
-/// of the (config × seed) grid up front, fan the independent cells out over
-/// a fixed-size worker pool, then render rows from the stored results.
-/// submit() order defines the result order *and* the JSON cell order, so a
-/// parallel sweep's document is byte-identical to the serial one (only the
-/// goal=info wall-time metrics differ).
+/// Deferred grid execution, the one way a reproduction binary runs cells:
+/// binaries submit every cell of the (config × seed) grid up front, fan the
+/// independent cells out over a fixed-size worker pool, then render rows
+/// from the stored results. submit() order defines the result order *and*
+/// the JSON cell order, so a parallel sweep's document is byte-identical to
+/// the serial one (only the goal=info wall-time metrics differ).
 class CellSweep {
  public:
   explicit CellSweep(const BenchArgs& args) : args_{args} {}
 
-  /// Queue one cell; returns its handle (stable submission index).
-  [[nodiscard]] std::size_t submit(exp::ExperimentParams params) {
+  /// Queue one cell; returns its handle, the submission index (0, 1, 2, ...),
+  /// so a caller may also walk the results with a counter.
+  std::size_t submit(exp::ExperimentParams params) {
     params.seed = args_.base_seed;
     cells_.push_back(Cell{std::move(params), exp::ExperimentResult{}, 0.0});
     return cells_.size() - 1;
@@ -231,22 +210,12 @@ class CellSweep {
 
   /// Result of the cell `submit()` returned `id` for (valid after run()).
   [[nodiscard]] const exp::ExperimentResult& result(std::size_t id) const {
-    if (id >= cells_.size()) {
-      std::fprintf(stderr, "CellSweep: bad cell handle %zu\n", id);
-      std::exit(1);
-    }
-    return cells_[id].result;
+    return at(id).result;
   }
 
   /// Wall-clock compute time of one cell as measured on its worker (valid
   /// after run()) — the denominator for events/sec reporting.
-  [[nodiscard]] double wall_ms(std::size_t id) const {
-    if (id >= cells_.size()) {
-      std::fprintf(stderr, "CellSweep: bad cell handle %zu\n", id);
-      std::exit(1);
-    }
-    return cells_[id].wall_ms;
-  }
+  [[nodiscard]] double wall_ms(std::size_t id) const { return at(id).wall_ms; }
 
  private:
   struct Cell {
@@ -254,6 +223,14 @@ class CellSweep {
     exp::ExperimentResult result;
     double wall_ms = 0.0;
   };
+
+  [[nodiscard]] const Cell& at(std::size_t id) const {
+    if (id >= cells_.size()) {
+      std::fprintf(stderr, "CellSweep: bad cell handle %zu\n", id);
+      std::exit(1);
+    }
+    return cells_[id];
+  }
 
   BenchArgs args_;
   std::vector<Cell> cells_;
@@ -274,6 +251,146 @@ inline void print_preamble(const char* experiment, const char* metric, const Ben
   std::printf("== storageqos reproduction: %s ==\n", experiment);
   std::printf("metric: %s | seeds averaged: %zu | jobs: %zu%s\n\n", metric, args.seeds,
               args.jobs, args.quick ? " (quick mode)" : "");
+}
+
+/// One point on a grid-table axis: its table label, its CSV label, the edit
+/// it makes to a cell's parameters, and its row or column in the paper's
+/// table (GridTable::paper).
+struct GridPoint {
+  std::string label;
+  std::string csv;
+  std::function<void(exp::ExperimentParams&)> apply;
+  std::size_t paper;
+};
+
+/// A grid-table axis: the heading over its labels (printed for the row
+/// axis), its CSV column name and its points.
+struct GridAxis {
+  std::string heading;
+  std::string csv;
+  std::vector<GridPoint> points;
+};
+
+/// A paper table as data: rows × columns of cells, each printed as
+/// "measured [paper]". The metric follows the mode: the fail rate in firm
+/// real time, the over-allocate ratio in soft real time.
+struct GridTable {
+  const char* experiment;  // preamble title
+  const char* metric;      // preamble metric line
+  const char* title;       // table title
+  core::AllocationMode mode;
+  GridAxis rows;
+  GridAxis cols;
+  std::vector<std::vector<double>> paper;  // percent, [row.paper][col.paper]
+  int decimals;                            // of the measured and the paper value
+  const char* epilogue = "";               // printed after the table
+};
+
+/// Run a GridTable: preamble, one CellSweep over every cell in row-major
+/// order, the rendered table, the CSV (row label, column label, value) and
+/// the epilogue. A cell has `users=` users (default 256, 128 in quick mode)
+/// unless an axis sets the count.
+inline void run_grid_table(const BenchArgs& args, const GridTable& t) {
+  print_preamble(t.experiment, t.metric, args);
+  const bool firm = t.mode == core::AllocationMode::kFirm;
+  std::vector<std::string> header{t.rows.heading};
+  for (const GridPoint& col : t.cols.points) header.push_back(col.label);
+  AsciiTable table{t.title};
+  table.set_header(header);
+  CsvWriter csv =
+      open_csv(args, {t.rows.csv, t.cols.csv, firm ? "fail_rate" : "overallocate_ratio"});
+
+  const std::size_t users = args.cfg.get_count("users", args.quick ? 128 : 256);
+  CellSweep sweep{args};
+  for (const GridPoint& row : t.rows.points) {
+    for (const GridPoint& col : t.cols.points) {
+      exp::ExperimentParams params;
+      params.users = users;
+      params.mode = t.mode;
+      row.apply(params);
+      col.apply(params);
+      sweep.submit(params);
+    }
+  }
+  sweep.run();
+
+  std::size_t cell = 0;
+  for (const GridPoint& row : t.rows.points) {
+    std::vector<std::string> line{row.label};
+    for (const GridPoint& col : t.cols.points) {
+      const exp::ExperimentResult& r = sweep.result(cell++);
+      const double value = firm ? r.fail_rate : r.overallocate_ratio;
+      line.push_back(format_percent(value, t.decimals) + " [" +
+                     format_double(t.paper[row.paper][col.paper], t.decimals) + "%]");
+      csv.row({row.csv, col.csv, format_double(value, 6)});
+    }
+    table.add_row(std::move(line));
+  }
+  table.print();
+  std::fputs(t.epilogue, stdout);
+}
+
+/// Selection policies as an axis; a point is labelled by its weights, such as
+/// "(1,0,0)", in the table and the CSV alike.
+inline GridAxis policy_axis(const std::vector<core::PolicyWeights>& policies) {
+  GridAxis axis{"(a,b,g)", "policy", {}};
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const core::PolicyWeights policy = policies[i];
+    axis.points.push_back({policy.to_string(), policy.to_string(),
+                           [policy](exp::ExperimentParams& p) { p.policy = policy; }, i});
+  }
+  return axis;
+}
+
+/// The user counts of Tables I and III: 64, 128, 192 and 256 (64 and 256 in
+/// quick mode), or only `users=`. A count the paper did not run takes its
+/// 256-user column.
+inline GridAxis user_axis(const BenchArgs& args) {
+  std::vector<std::size_t> users{64, 128, 192, 256};
+  if (args.cfg.contains("users")) {
+    users = {args.cfg.get_count("users", 256)};
+  } else if (args.quick) {
+    users = {64, 256};
+  }
+  GridAxis axis{"users", "users", {}};
+  for (const std::size_t u : users) {
+    const std::size_t column = u == 64 ? 0 : u == 128 ? 1 : u == 192 ? 2 : 3;
+    axis.points.push_back({std::to_string(u) + " users", std::to_string(u),
+                           [u](exp::ExperimentParams& p) { p.users = u; }, column});
+  }
+  return axis;
+}
+
+/// The four §VI.C replication strategies in paper order (Tables IV and V).
+inline GridAxis strategy_axis() {
+  const char* names[] = {"Static replication", "Baseline", "Rep(1, 8)", "Rep(1, 3)"};
+  const std::vector<core::ReplicationConfig> strategies = strategy_sweep();
+  GridAxis axis{"strategy", "strategy", {}};
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    const core::ReplicationConfig rep = strategies[i];
+    axis.points.push_back({names[i], rep.strategy_name(),
+                           [rep](exp::ExperimentParams& p) { p.replication = rep; }, i});
+  }
+  return axis;
+}
+
+/// Rep(1,3)'s three destination strategies (Tables VI and VII).
+inline GridAxis destination_axis() {
+  const core::DestinationStrategy strategies[] = {core::DestinationStrategy::kRandom,
+                                                  core::DestinationStrategy::kLargestBandwidthFirst,
+                                                  core::DestinationStrategy::kWeighted};
+  const char* names[] = {"Random", "LBW designated", "Weighted"};
+  GridAxis axis{"destination", "destination", {}};
+  for (std::size_t i = 0; i < std::size(strategies); ++i) {
+    const core::DestinationStrategy destination = strategies[i];
+    axis.points.push_back({names[i], std::string{to_string(destination)},
+                           [destination](exp::ExperimentParams& p) {
+                             p.replication = core::ReplicationConfig::rep(1, 3);
+                             p.replication.destination = destination;
+                           },
+                           i});
+  }
+  return axis;
 }
 
 }  // namespace sqos::bench

@@ -17,8 +17,10 @@ int main(int argc, char** argv) {
   params.mode = core::AllocationMode::kSoft;
   params.policy = core::PolicyWeights::random();
   params.monitor_interval = SimTime::seconds(60.0);
-  params.seed = args.base_seed;
-  const exp::ExperimentResult r = exp::run_experiment(params);
+  bench::CellSweep sweep{args};
+  sweep.submit(params);
+  sweep.run();
+  const exp::ExperimentResult& r = sweep.result(0);
 
   // Pick the RM with the worst over-allocate ratio for the illustration.
   std::size_t worst = 0;

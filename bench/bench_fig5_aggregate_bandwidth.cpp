@@ -26,17 +26,24 @@ int main(int argc, char** argv) {
   };
   std::vector<Run> runs;
 
-  for (const auto& policy : {core::PolicyWeights::random(), core::PolicyWeights::p100()}) {
+  const core::PolicyWeights policies[] = {core::PolicyWeights::random(),
+                                          core::PolicyWeights::p100()};
+  bench::CellSweep sweep{args};
+  for (const core::PolicyWeights& policy : policies) {
     exp::ExperimentParams params;
     params.users = args.cfg.get_count("users", 256);
     params.mode = core::AllocationMode::kFirm;
     params.policy = policy;
     params.monitor_interval = SimTime::seconds(60.0);
-    params.seed = args.base_seed;
-    const exp::ExperimentResult r = exp::run_experiment(params);
+    sweep.submit(params);
+  }
+  sweep.run();
+
+  for (std::size_t pi = 0; pi < std::size(policies); ++pi) {
+    const exp::ExperimentResult& r = sweep.result(pi);
 
     Run run;
-    run.policy = policy.to_string();
+    run.policy = policies[pi].to_string();
     const std::size_t n = r.rm_series[0].size();
     for (std::size_t i = 0; i < n; ++i) {
       double lsum = 0.0;

@@ -24,15 +24,20 @@ int main(int argc, char** argv) {
   };
   std::vector<Series> all;
 
-  for (std::size_t si = 0; si < strategies.size(); ++si) {
+  bench::CellSweep sweep{args};
+  for (const core::ReplicationConfig& rep : strategies) {
     exp::ExperimentParams params;
     params.users = args.cfg.get_count("users", 256);
     params.mode = core::AllocationMode::kSoft;
     params.policy = core::PolicyWeights::p100();
-    params.replication = strategies[si];
+    params.replication = rep;
     params.monitor_interval = SimTime::seconds(60.0);
-    params.seed = args.base_seed;
-    const exp::ExperimentResult r = exp::run_experiment(params);
+    sweep.submit(params);
+  }
+  sweep.run();
+
+  for (std::size_t si = 0; si < strategies.size(); ++si) {
+    const exp::ExperimentResult& r = sweep.result(si);
 
     Series s;
     const std::size_t n = r.rm_series[0].size();

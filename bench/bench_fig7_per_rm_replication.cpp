@@ -12,16 +12,19 @@ int main(int argc, char** argv) {
 
   const std::size_t users = args.cfg.get_count("users", args.quick ? 128 : 256);
 
-  const auto run_with = [&](core::ReplicationConfig rep) {
+  bench::CellSweep sweep{args};
+  for (const core::ReplicationConfig& rep :
+       {core::ReplicationConfig::static_only(), core::ReplicationConfig::rep(1, 3)}) {
     exp::ExperimentParams params;
     params.users = users;
     params.mode = core::AllocationMode::kSoft;
     params.policy = core::PolicyWeights::p100();
     params.replication = rep;
-    return bench::run(args, params);
-  };
-  const exp::ExperimentResult st = run_with(core::ReplicationConfig::static_only());
-  const exp::ExperimentResult rep = run_with(core::ReplicationConfig::rep(1, 3));
+    sweep.submit(params);
+  }
+  sweep.run();
+  const exp::ExperimentResult& st = sweep.result(0);
+  const exp::ExperimentResult& rep = sweep.result(1);
 
   CsvWriter csv = bench::open_csv(args, {"rm", "static_ratio", "rep13_ratio"});
   AsciiTable table{"Per-RM over-allocate ratio"};

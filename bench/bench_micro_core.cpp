@@ -1,12 +1,8 @@
-// Ablation A5 — microbenchmarks of the hot QoS primitives, in two modes.
-//
-// google-benchmark mode (default, or any --benchmark_* flag): the per-request
-// cost of bid assembly, policy scoring, the two-queue history, the event
-// queue and the allocation ledger.
-//
-// perf-runner mode (any key=value argument): a deterministic macro-loop
-// driver over the same hot paths that emits the machine-readable
-// `sqos-bench-v1` document consumed by tools/perf_gate:
+// Ablation A5 — the perf runner over the hot QoS primitives: bid assembly,
+// policy scoring, the two-queue history, Zipf sampling, the hotspot cover,
+// the event queue, message delivery and the allocation ledger. It is a
+// deterministic macro-loop driver that prints one line per phase and emits
+// the machine-readable `sqos-bench-v1` document consumed by tools/perf_gate:
 //
 //   bench_micro_core quick=1 json=BENCH_core.json
 //
@@ -16,12 +12,10 @@
 // Besides absolute ns/op the runner reports each phase's cost normalized by
 // a fixed integer-spin calibration loop measured in the same process; the
 // normalized numbers are what the CI perf gate compares across machines.
-#include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -46,72 +40,17 @@ namespace {
 
 using namespace sqos;
 
-// ----------------------------------------------- google-benchmark suite --
-
-void BM_BidAssembly(benchmark::State& state) {
-  core::BidInputs in;
-  in.b_rem = Bandwidth::mbps(18.0);
-  in.b_used = Bandwidth::mbps(12.0);
-  in.reference.valid = true;
-  in.reference.t_start = SimTime::seconds(0.0);
-  in.reference.t_end = SimTime::seconds(60.0);
-  in.reference.fs_total = Bytes::mib(512.0);
-  in.now = SimTime::seconds(90.0);
-  in.b_req = Bandwidth::mbps(1.4);
-  in.t_ocp = SimTime::seconds(240.0);
-  in.t_ocp_avg = SimTime::seconds(300.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::make_bid(in));
-  }
+/// Compiler barrier: `v` counts as read and written, so the work producing
+/// it cannot be folded away (the GCC form of Google Benchmark's
+/// DoNotOptimize).
+template <typename T>
+[[gnu::always_inline]] inline void do_not_optimize(T& v) {
+  asm volatile("" : "+m,r"(v) : : "memory");
 }
-BENCHMARK(BM_BidAssembly);
-
-void BM_PolicyChoose(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng{1};
-  std::vector<core::BidInfo> bids(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bids[i].b_rem_bps = rng.uniform(0.0, 2e6);
-    bids[i].trend_bps = rng.uniform(-1e5, 1e5);
-    bids[i].occupation_bias = rng.uniform(0.1, 1.0);
-    bids[i].b_req_bps = 175e3;
-  }
-  const core::SelectionPolicy policy{core::PolicyWeights::p111()};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.choose(bids, rng));
-  }
-}
-BENCHMARK(BM_PolicyChoose)->Arg(3)->Arg(16)->Arg(128);
-
-void BM_HistoryRecord(benchmark::State& state) {
-  core::TwoQueueHistory history;
-  std::int64_t t = 0;
-  for (auto _ : state) {
-    history.record(SimTime::micros(t), Bytes::mib(50.0));
-    t += 1000;
-  }
-}
-BENCHMARK(BM_HistoryRecord);
-
-void BM_EventQueueSchedule(benchmark::State& state) {
-  sim::Simulator sim;
-  Rng rng{2};
-  // Steady-state churn: schedule one, execute one.
-  for (int i = 0; i < 1024; ++i) {
-    sim.schedule_after(SimTime::micros(static_cast<std::int64_t>(rng.next_below(100000))),
-                       [] {});
-  }
-  for (auto _ : state) {
-    sim.schedule_after(SimTime::micros(static_cast<std::int64_t>(rng.next_below(100000))),
-                       [] {});
-    sim.step();
-  }
-}
-BENCHMARK(BM_EventQueueSchedule);
 
 /// A day-long run's queue shape: 2^18 pending events spread over 48
-/// simulated hours (every arrival scheduled up front). BM_EventQueueSchedule
-/// keeps 1,024 events within 100 ms, which stays cache-resident.
+/// simulated hours (every arrival scheduled up front). The churn phase keeps
+/// 1,024 events within 100 ms, which stays cache-resident.
 constexpr std::size_t kLargePending = std::size_t{1} << 18;
 constexpr std::uint64_t kLargeSpanUs = std::uint64_t{48} * 3600 * 1'000'000;
 
@@ -119,55 +58,6 @@ void schedule_large(sim::Simulator& sim, Rng& rng, std::uint64_t* sink) {
   const std::uint64_t a = rng.next_below(kLargeSpanUs);
   sim.schedule_after(SimTime::micros(static_cast<std::int64_t>(a)), [sink, a] { *sink += a; });
 }
-
-void BM_EventQueueLarge(benchmark::State& state) {
-  sim::Simulator sim;
-  Rng rng{7};
-  std::uint64_t sink = 0;
-  for (std::size_t i = 0; i < kLargePending; ++i) schedule_large(sim, rng, &sink);
-  // Steady-state churn: schedule one, execute one.
-  for (auto _ : state) {
-    schedule_large(sim, rng, &sink);
-    sim.step();
-  }
-  benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_EventQueueLarge);
-
-void BM_LedgerUpdate(benchmark::State& state) {
-  storage::BandwidthLedger ledger{Bandwidth::mbps(18.0), SimTime::zero()};
-  std::int64_t t = 0;
-  double alloc = 0.0;
-  for (auto _ : state) {
-    t += 500;
-    alloc = alloc > 2.5e6 ? 0.0 : alloc + 175e3;
-    ledger.on_allocation_change(SimTime::micros(t), Bandwidth::bytes_per_sec(alloc));
-  }
-  benchmark::DoNotOptimize(ledger.overallocate_ratio());
-}
-BENCHMARK(BM_LedgerUpdate);
-
-void BM_ZipfSample(benchmark::State& state) {
-  const ZipfDistribution zipf{1000, 1.0};
-  Rng rng{3};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(zipf.sample(rng));
-  }
-}
-BENCHMARK(BM_ZipfSample);
-
-void BM_FileHeatCover(benchmark::State& state) {
-  core::FileHeat heat;
-  Rng rng{4};
-  const ZipfDistribution zipf{500, 1.0};
-  for (int i = 0; i < 20'000; ++i) heat.record_access(zipf.sample(rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(heat.busiest_cover(0.5));
-  }
-}
-BENCHMARK(BM_FileHeatCover);
-
-// ----------------------------------------------------- perf-runner mode --
 
 using Clock = std::chrono::steady_clock;
 
@@ -183,7 +73,7 @@ double calibration_spin_ns(std::size_t iters) {
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
-    benchmark::DoNotOptimize(x);
+    do_not_optimize(x);
   }
   const auto t1 = Clock::now();
   return elapsed_ns(t0, t1) / static_cast<double>(iters);
@@ -211,7 +101,7 @@ double event_churn_ns(std::size_t iters) {
     sim.step();
   }
   const auto t1 = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  do_not_optimize(sink);
   return elapsed_ns(t0, t1) / static_cast<double>(iters);
 }
 
@@ -232,12 +122,12 @@ double event_cancel_ns(std::size_t iters) {
     sim.step();
   }
   const auto t1 = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  do_not_optimize(sink);
   return elapsed_ns(t0, t1) / (3.0 * static_cast<double>(iters));
 }
 
-/// BM_EventQueueLarge's churn: schedule one, execute one against 2^18
-/// pending events spread over 48 simulated hours.
+/// Schedule one, execute one against 2^18 pending events spread over 48
+/// simulated hours.
 double event_large_ns(std::size_t iters) {
   sim::Simulator sim;
   Rng rng{7};
@@ -249,7 +139,7 @@ double event_large_ns(std::size_t iters) {
     sim.step();
   }
   const auto t1 = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  do_not_optimize(sink);
   return elapsed_ns(t0, t1) / static_cast<double>(iters);
 }
 
@@ -272,7 +162,7 @@ double net_delivery_ns(std::size_t iters) {
     sim.step();
   }
   const auto t1 = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  do_not_optimize(sink);
   return elapsed_ns(t0, t1) / static_cast<double>(iters);
 }
 
@@ -293,7 +183,8 @@ double flow_ledger_ns(std::size_t iters) {
     ledger.on_allocation_change(SimTime::micros(t), group.allocated());
   }
   const auto t1 = Clock::now();
-  benchmark::DoNotOptimize(ledger.overallocate_ratio());
+  double ratio = ledger.overallocate_ratio();
+  do_not_optimize(ratio);
   return elapsed_ns(t0, t1) / (2.0 * static_cast<double>(iters));
 }
 
@@ -324,7 +215,7 @@ double policy_select_ns(std::size_t iters) {
     sink += pick.value_or(0);
   }
   const auto t1 = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  do_not_optimize(sink);
   return elapsed_ns(t0, t1) / static_cast<double>(iters);
 }
 
@@ -350,7 +241,7 @@ double replica_query_ns(std::size_t iters) {
     sink += reply.current_replicas + reply.non_holder_slot(i % reply.non_holder_count());
   }
   const auto t1 = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  do_not_optimize(sink);
   return elapsed_ns(t0, t1) / static_cast<double>(iters);
 }
 
@@ -381,7 +272,74 @@ double dest_select_ns(std::size_t iters) {
     for (const std::uint32_t p : picks) sink += p;
   }
   const auto t1 = Clock::now();
-  benchmark::DoNotOptimize(sink);
+  do_not_optimize(sink);
+  return elapsed_ns(t0, t1) / static_cast<double>(iters);
+}
+
+/// One bid assembled from an RM's state (§IV's B_rem, trend and occupation
+/// terms).
+double bid_assembly_ns(std::size_t iters) {
+  core::BidInputs in;
+  in.b_rem = Bandwidth::mbps(18.0);
+  in.b_used = Bandwidth::mbps(12.0);
+  in.reference.valid = true;
+  in.reference.t_start = SimTime::seconds(0.0);
+  in.reference.t_end = SimTime::seconds(60.0);
+  in.reference.fs_total = Bytes::mib(512.0);
+  in.now = SimTime::seconds(90.0);
+  in.b_req = Bandwidth::mbps(1.4);
+  in.t_ocp = SimTime::seconds(240.0);
+  in.t_ocp_avg = SimTime::seconds(300.0);
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < iters; ++i) {
+    core::BidInfo bid = core::make_bid(in);
+    do_not_optimize(bid);
+  }
+  const auto t1 = Clock::now();
+  return elapsed_ns(t0, t1) / static_cast<double>(iters);
+}
+
+/// One access recorded in an RM's two-queue history, 1 ms apart.
+double history_record_ns(std::size_t iters) {
+  core::TwoQueueHistory history;
+  std::int64_t t = 0;
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < iters; ++i) {
+    history.record(SimTime::micros(t), Bytes::mib(50.0));
+    t += 1000;
+  }
+  const auto t1 = Clock::now();
+  std::size_t exchanges = history.exchanges();
+  do_not_optimize(exchanges);
+  return elapsed_ns(t0, t1) / static_cast<double>(iters);
+}
+
+/// One file drawn from a 1,000-file Zipf(1.0) catalog.
+double zipf_sample_ns(std::size_t iters) {
+  const ZipfDistribution zipf{1000, 1.0};
+  Rng rng{3};
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < iters; ++i) {
+    std::size_t file = zipf.sample(rng);
+    do_not_optimize(file);
+  }
+  const auto t1 = Clock::now();
+  return elapsed_ns(t0, t1) / static_cast<double>(iters);
+}
+
+/// One replication round's hotspot query: the busiest files covering half
+/// of 20,000 Zipf-distributed accesses over 500 files.
+double busiest_cover_ns(std::size_t iters) {
+  core::FileHeat heat;
+  Rng rng{4};
+  const ZipfDistribution zipf{500, 1.0};
+  for (int i = 0; i < 20'000; ++i) heat.record_access(zipf.sample(rng));
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < iters; ++i) {
+    std::vector<std::uint64_t> cover = heat.busiest_cover(0.5);
+    do_not_optimize(cover);
+  }
+  const auto t1 = Clock::now();
   return elapsed_ns(t0, t1) / static_cast<double>(iters);
 }
 
@@ -410,16 +368,43 @@ int run_perf_runner(const Config& cfg) {
   std::printf("== bench_micro_core perf runner (%s, %zu iterations x %zu reps) ==\n",
               quick ? "quick" : "full", iters, reps);
 
+  // One phase per kernel: its JSON name, the operation its time is per, its
+  // printed label and its best-of-reps time. The phases run in this order.
+  struct Phase {
+    const char* name;
+    const char* op;
+    const char* label;
+    double ns;
+  };
   const double spin = best_of(reps, [&] { return calibration_spin_ns(iters * 4); });
-  const double churn = best_of(reps, [&] { return event_churn_ns(iters); });
-  const double cancel = best_of(reps, [&] { return event_cancel_ns(iters / 2); });
-  const double large = best_of(reps, [&] { return event_large_ns(iters); });
-  const double net = best_of(reps, [&] { return net_delivery_ns(iters / 2); });
-  const double flow = best_of(reps, [&] { return flow_ledger_ns(iters / 2); });
-  const double select = best_of(reps, [&] { return policy_select_ns(iters / 8); });
-  const double query = best_of(reps, [&] { return replica_query_ns(iters / 8); });
-  const double dest = best_of(reps, [&] { return dest_select_ns(iters / 8); });
+  const Phase phases[] = {
+      {"event_churn", "event", "event churn",
+       best_of(reps, [&] { return event_churn_ns(iters); })},
+      {"event_cancel", "op", "event cancel",
+       best_of(reps, [&] { return event_cancel_ns(iters / 2); })},
+      {"event_queue_large", "event", "event churn (2^18/48h)",
+       best_of(reps, [&] { return event_large_ns(iters); })},
+      {"net_delivery", "message", "net delivery",
+       best_of(reps, [&] { return net_delivery_ns(iters / 2); })},
+      {"flow_ledger", "update", "flow+ledger cycle",
+       best_of(reps, [&] { return flow_ledger_ns(iters / 2); })},
+      {"policy_select", "decision", "policy select (128)",
+       best_of(reps, [&] { return policy_select_ns(iters / 8); })},
+      {"replica_query", "query", "replica query (1024)",
+       best_of(reps, [&] { return replica_query_ns(iters / 8); })},
+      {"dest_select", "pick", "dest select (1024)",
+       best_of(reps, [&] { return dest_select_ns(iters / 8); })},
+      {"bid_assembly", "bid", "bid assembly",
+       best_of(reps, [&] { return bid_assembly_ns(iters); })},
+      {"history_record", "record", "history record",
+       best_of(reps, [&] { return history_record_ns(iters); })},
+      {"zipf_sample", "sample", "zipf sample (1000)",
+       best_of(reps, [&] { return zipf_sample_ns(iters / 2); })},
+      {"busiest_cover", "cover", "busiest cover (500)",
+       best_of(reps, [&] { return busiest_cover_ns(iters / 128); })},
+  };
   const double rss = peak_rss_bytes();
+  const double churn = phases[0].ns;
   const double events_per_sec = 1e9 / churn;
 
   BenchReport report{"bench_micro_core"};
@@ -433,40 +418,22 @@ int run_perf_runner(const Config& cfg) {
   report.set_meta("iters", std::to_string(iters));
   report.set_meta("reps", std::to_string(reps));
 
-  // Absolute numbers (informational: they describe *this* machine) ...
+  // Absolute numbers are informational (they describe *this* machine); the
+  // spin-normalized costs (phase ns / calibration-spin ns) are what the CI
+  // perf gate compares across machines.
   report.add("events_per_sec", events_per_sec, "1/s", MetricGoal::kInfo);
   report.add("ns_per_event", churn, "ns", MetricGoal::kInfo);
   report.add("peak_rss_bytes", rss, "bytes", MetricGoal::kInfo);
   report.add("calibration.spin_ns_per_iter", spin, "ns", MetricGoal::kInfo);
-  report.add("event_churn.ns_per_event", churn, "ns", MetricGoal::kInfo);
-  report.add("event_cancel.ns_per_op", cancel, "ns", MetricGoal::kInfo);
-  report.add("event_queue_large.ns_per_event", large, "ns", MetricGoal::kInfo);
-  report.add("net_delivery.ns_per_message", net, "ns", MetricGoal::kInfo);
-  report.add("flow_ledger.ns_per_update", flow, "ns", MetricGoal::kInfo);
-  report.add("policy_select.ns_per_decision", select, "ns", MetricGoal::kInfo);
-  report.add("replica_query.ns_per_query", query, "ns", MetricGoal::kInfo);
-  report.add("dest_select.ns_per_pick", dest, "ns", MetricGoal::kInfo);
-  // ... and spin-normalized costs, which the CI perf gate compares across
-  // machines (dimensionless: phase ns / calibration-spin ns).
-  report.add("event_churn.norm_cost", churn / spin, "x", MetricGoal::kLowerIsBetter);
-  report.add("event_cancel.norm_cost", cancel / spin, "x", MetricGoal::kLowerIsBetter);
-  report.add("event_queue_large.norm_cost", large / spin, "x", MetricGoal::kLowerIsBetter);
-  report.add("net_delivery.norm_cost", net / spin, "x", MetricGoal::kLowerIsBetter);
-  report.add("flow_ledger.norm_cost", flow / spin, "x", MetricGoal::kLowerIsBetter);
-  report.add("policy_select.norm_cost", select / spin, "x", MetricGoal::kLowerIsBetter);
-  report.add("replica_query.norm_cost", query / spin, "x", MetricGoal::kLowerIsBetter);
-  report.add("dest_select.norm_cost", dest / spin, "x", MetricGoal::kLowerIsBetter);
-
   std::printf("calibration spin      %8.2f ns/iter\n", spin);
-  std::printf("event churn           %8.2f ns/event  (%.0f events/sec, %.1fx spin)\n", churn,
-              events_per_sec, churn / spin);
-  std::printf("event cancel          %8.2f ns/op     (%.1fx spin)\n", cancel, cancel / spin);
-  std::printf("event churn (2^18/48h)%8.2f ns/event  (%.1fx spin)\n", large, large / spin);
-  std::printf("net delivery          %8.2f ns/msg    (%.1fx spin)\n", net, net / spin);
-  std::printf("flow+ledger cycle     %8.2f ns/update (%.1fx spin)\n", flow, flow / spin);
-  std::printf("policy select (128)   %8.2f ns/decide (%.1fx spin)\n", select, select / spin);
-  std::printf("replica query (1024)  %8.2f ns/query  (%.1fx spin)\n", query, query / spin);
-  std::printf("dest select (1024)    %8.2f ns/pick   (%.1fx spin)\n", dest, dest / spin);
+  for (const Phase& phase : phases) {
+    const std::string name = phase.name;
+    report.add(name + ".ns_per_" + phase.op, phase.ns, "ns", MetricGoal::kInfo);
+    report.add(name + ".norm_cost", phase.ns / spin, "x", MetricGoal::kLowerIsBetter);
+    std::printf("%-22s%8.2f ns/%-8s (%.1fx spin)\n", phase.label, phase.ns, phase.op,
+                phase.ns / spin);
+  }
+  std::printf("event churn rate      %8.0f events/sec\n", events_per_sec);
   std::printf("peak RSS              %8.1f MiB\n", rss / (1024.0 * 1024.0));
 
   if (!json_path.empty()) {
@@ -483,17 +450,6 @@ int run_perf_runner(const Config& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool gbench_mode = argc <= 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark", 11) == 0) gbench_mode = true;
-  }
-  if (gbench_mode) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-  }
   auto parsed = sqos::Config::from_args(argc, argv);
   if (!parsed.is_ok()) {
     std::fprintf(stderr, "%s\n", parsed.status().to_string().c_str());

@@ -5,53 +5,17 @@
 int main(int argc, char** argv) {
   using namespace sqos;
   const bench::BenchArgs args = bench::parse_args(argc, argv);
-  bench::print_preamble("Table I — over-allocate ratio, soft real-time, static replication",
-                        "R_OA = S_OA / S_TA aggregated over RMs", args);
-
-  const auto users = bench::user_sweep(args);
-  // Paper values for reference (row-major over the full sweep).
-  const double paper[5][4] = {{1.447, 6.539, 16.325, 24.595},
-                              {0.000, 0.059, 2.070, 9.771},
-                              {0.000, 0.043, 2.102, 9.793},
-                              {0.000, 0.062, 2.281, 9.543},
-                              {0.000, 0.063, 2.215, 10.007}};
-
-  std::vector<std::string> header{"(a,b,g)"};
-  for (const std::size_t u : users) header.push_back(std::to_string(u) + " users");
-  AsciiTable table{"Table I (measured; paper value in brackets)"};
-  table.set_header(header);
-  CsvWriter csv = bench::open_csv(args, {"policy", "users", "overallocate_ratio"});
-
-  const auto policies = core::PolicyWeights::paper_set();
-
-  // Fan the (policy × users) grid out, then render rows from the stored
-  // results — submission order fixes both result and JSON cell order.
-  bench::CellSweep sweep{args};
-  std::vector<std::vector<std::size_t>> cells(policies.size());
-  for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-    for (const std::size_t u : users) {
-      exp::ExperimentParams params;
-      params.users = u;
-      params.mode = core::AllocationMode::kSoft;
-      params.policy = policies[pi];
-      cells[pi].push_back(sweep.submit(params));
-    }
-  }
-  sweep.run();
-
-  for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-    std::vector<std::string> row{policies[pi].to_string()};
-    for (std::size_t uj = 0; uj < users.size(); ++uj) {
-      const std::size_t u = users[uj];
-      const exp::ExperimentResult& r = sweep.result(cells[pi][uj]);
-      const std::size_t ui = u == 64 ? 0 : u == 128 ? 1 : u == 192 ? 2 : 3;
-      row.push_back(format_percent(r.overallocate_ratio) + " [" +
-                    format_double(paper[pi][ui], 3) + "%]");
-      csv.row({policies[pi].to_string(), std::to_string(u),
-               format_double(r.overallocate_ratio, 6)});
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
-  return 0;
+  bench::run_grid_table(
+      args, {.experiment = "Table I — over-allocate ratio, soft real-time, static replication",
+             .metric = "R_OA = S_OA / S_TA aggregated over RMs",
+             .title = "Table I (measured; paper value in brackets)",
+             .mode = core::AllocationMode::kSoft,
+             .rows = bench::policy_axis(core::PolicyWeights::paper_set()),
+             .cols = bench::user_axis(args),
+             .paper = {{1.447, 6.539, 16.325, 24.595},
+                       {0.000, 0.059, 2.070, 9.771},
+                       {0.000, 0.043, 2.102, 9.793},
+                       {0.000, 0.062, 2.281, 9.543},
+                       {0.000, 0.063, 2.215, 10.007}},
+             .decimals = 3});
 }

@@ -5,49 +5,17 @@
 int main(int argc, char** argv) {
   using namespace sqos;
   const bench::BenchArgs args = bench::parse_args(argc, argv);
-  bench::print_preamble("Table III — fail rate, firm real-time, static replication",
-                        "failed opens / total opens", args);
-
-  const auto users = bench::user_sweep(args);
-  const double paper[5][4] = {{0.070, 1.344, 7.028, 15.525},
-                              {0.000, 0.448, 3.825, 11.087},
-                              {0.000, 0.310, 4.065, 11.236},
-                              {0.000, 0.483, 3.604, 11.005},
-                              {0.000, 0.345, 4.045, 11.038}};
-
-  std::vector<std::string> header{"(a,b,g)"};
-  for (const std::size_t u : users) header.push_back(std::to_string(u) + " users");
-  AsciiTable table{"Table III (measured; paper value in brackets)"};
-  table.set_header(header);
-  CsvWriter csv = bench::open_csv(args, {"policy", "users", "fail_rate"});
-
-  const auto policies = core::PolicyWeights::paper_set();
-
-  bench::CellSweep sweep{args};
-  std::vector<std::vector<std::size_t>> cells(policies.size());
-  for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-    for (const std::size_t u : users) {
-      exp::ExperimentParams params;
-      params.users = u;
-      params.mode = core::AllocationMode::kFirm;
-      params.policy = policies[pi];
-      cells[pi].push_back(sweep.submit(params));
-    }
-  }
-  sweep.run();
-
-  for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-    std::vector<std::string> row{policies[pi].to_string()};
-    for (std::size_t uj = 0; uj < users.size(); ++uj) {
-      const std::size_t u = users[uj];
-      const exp::ExperimentResult& r = sweep.result(cells[pi][uj]);
-      const std::size_t ui = u == 64 ? 0 : u == 128 ? 1 : u == 192 ? 2 : 3;
-      row.push_back(format_percent(r.fail_rate) + " [" + format_double(paper[pi][ui], 3) +
-                    "%]");
-      csv.row({policies[pi].to_string(), std::to_string(u), format_double(r.fail_rate, 6)});
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
-  return 0;
+  bench::run_grid_table(
+      args, {.experiment = "Table III — fail rate, firm real-time, static replication",
+             .metric = "failed opens / total opens",
+             .title = "Table III (measured; paper value in brackets)",
+             .mode = core::AllocationMode::kFirm,
+             .rows = bench::policy_axis(core::PolicyWeights::paper_set()),
+             .cols = bench::user_axis(args),
+             .paper = {{0.070, 1.344, 7.028, 15.525},
+                       {0.000, 0.448, 3.825, 11.087},
+                       {0.000, 0.310, 4.065, 11.236},
+                       {0.000, 0.483, 3.604, 11.005},
+                       {0.000, 0.345, 4.045, 11.038}},
+             .decimals = 3});
 }

@@ -5,49 +5,14 @@
 int main(int argc, char** argv) {
   using namespace sqos;
   const bench::BenchArgs args = bench::parse_args(argc, argv);
-  bench::print_preamble("Table VII — Rep(1,3) destination selection, firm RT",
-                        "failed opens / total opens, 256 users", args);
-
-  const std::size_t users = args.cfg.get_count("users", args.quick ? 128 : 256);
-  const double paper[3][2] = {{2.28, 1.50}, {2.60, 1.20}, {3.05, 1.34}};
-
-  const std::vector<core::PolicyWeights> policies{core::PolicyWeights::random(),
-                                                  core::PolicyWeights::p100()};
-  const core::DestinationStrategy strategies[] = {
-      core::DestinationStrategy::kRandom, core::DestinationStrategy::kLargestBandwidthFirst,
-      core::DestinationStrategy::kWeighted};
-  const char* names[] = {"Random", "LBW designated", "Weighted"};
-
-  AsciiTable table{"Table VII (measured; paper value in brackets)"};
-  table.set_header({"destination", "(0,0,0)", "(1,0,0)"});
-  CsvWriter csv = bench::open_csv(args, {"destination", "policy", "fail_rate"});
-
-  bench::CellSweep sweep{args};
-  std::vector<std::vector<std::size_t>> cells(3);
-  for (std::size_t si = 0; si < 3; ++si) {
-    for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-      exp::ExperimentParams params;
-      params.users = users;
-      params.mode = core::AllocationMode::kFirm;
-      params.policy = policies[pi];
-      params.replication = core::ReplicationConfig::rep(1, 3);
-      params.replication.destination = strategies[si];
-      cells[si].push_back(sweep.submit(params));
-    }
-  }
-  sweep.run();
-
-  for (std::size_t si = 0; si < 3; ++si) {
-    std::vector<std::string> row{names[si]};
-    for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-      const exp::ExperimentResult& r = sweep.result(cells[si][pi]);
-      row.push_back(format_percent(r.fail_rate, 2) + " [" + format_double(paper[si][pi], 2) +
-                    "%]");
-      csv.row({std::string{to_string(strategies[si])}, policies[pi].to_string(),
-               format_double(r.fail_rate, 6)});
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
-  return 0;
+  bench::run_grid_table(
+      args,
+      {.experiment = "Table VII — Rep(1,3) destination selection, firm RT",
+       .metric = "failed opens / total opens, 256 users",
+       .title = "Table VII (measured; paper value in brackets)",
+       .mode = core::AllocationMode::kFirm,
+       .rows = bench::destination_axis(),
+       .cols = bench::policy_axis({core::PolicyWeights::random(), core::PolicyWeights::p100()}),
+       .paper = {{2.28, 1.50}, {2.60, 1.20}, {3.05, 1.34}},
+       .decimals = 2});
 }

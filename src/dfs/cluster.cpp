@@ -67,9 +67,7 @@ Status Cluster::construct() {
   // Physical machines.
   devices_.reserve(config_.machines.size());
   for (const MachineSpec& m : config_.machines) {
-    auto device = std::make_unique<storage::BlockDevice>(m.name, m.sustained);
-    device->set_allow_oversubscribe(config_.allow_oversubscribe);
-    devices_.push_back(std::move(device));
+    devices_.push_back(std::make_unique<storage::BlockDevice>(m.name, m.sustained));
   }
 
   // Initialization order (§III.B): the MM comes up first (one shard per

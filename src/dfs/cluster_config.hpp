@@ -82,7 +82,6 @@ struct ClusterConfig {
   storage::LayoutPolicy layout;
 
   std::uint64_t seed = 1;
-  bool allow_oversubscribe = false;
 };
 
 }  // namespace sqos::dfs

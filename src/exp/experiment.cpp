@@ -276,6 +276,13 @@ ExperimentResult run_averaged(ExperimentParams params, std::size_t seeds, std::s
                            std::to_string(avg.per_tenant.size())),
           "per-tenant averaging");
     }
+    if (r.mm_shard_messages.size() != avg.mm_shard_messages.size()) {
+      die(Status::internal("seed " + std::to_string(params.seed + s) + " produced " +
+                           std::to_string(r.mm_shard_messages.size()) +
+                           " MM shard counters, expected " +
+                           std::to_string(avg.mm_shard_messages.size())),
+          "per-shard averaging");
+    }
     avg.fail_rate += r.fail_rate;
     avg.overallocate_ratio += r.overallocate_ratio;
     for (std::size_t i = 0; i < avg.per_rm.size(); ++i) {
@@ -320,6 +327,9 @@ ExperimentResult run_averaged(ExperimentParams params, std::size_t seeds, std::s
     avg.control_messages += r.control_messages;
     avg.control_bytes += r.control_bytes;
     avg.mm_messages += r.mm_messages;
+    for (std::size_t i = 0; i < avg.mm_shard_messages.size(); ++i) {
+      avg.mm_shard_messages[i] += r.mm_shard_messages[i];
+    }
     avg.mean_negotiation_ms += r.mean_negotiation_ms;
     avg.simulated_seconds += r.simulated_seconds;
     avg.executed_events += r.executed_events;
@@ -371,6 +381,7 @@ ExperimentResult run_averaged(ExperimentParams params, std::size_t seeds, std::s
   avg.control_messages = avg_u64(avg.control_messages);
   avg.control_bytes = avg_u64(avg.control_bytes);
   avg.mm_messages = avg_u64(avg.mm_messages);
+  for (std::uint64_t& shard : avg.mm_shard_messages) shard = avg_u64(shard);
   avg.executed_events = avg_u64(avg.executed_events);
   avg.mean_negotiation_ms /= n;
   avg.simulated_seconds /= n;

@@ -155,9 +155,9 @@ struct [[nodiscard]] ExperimentResult {
 /// experiment binary with a bad setup must fail loudly, not produce numbers.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentParams& params);
 
-/// Run `seeds` experiments differing only in seed and average the scalar and
-/// per-RM metrics (the counters are averaged too, rounded). Series come from
-/// the first seed.
+/// Run `seeds` experiments differing only in seed and average the scalar,
+/// per-RM and per-MM-shard metrics (the counters are averaged too, rounded).
+/// Series come from the first seed.
 ///
 /// `jobs` fans the independent per-seed runs out over a ParallelRunner;
 /// results are merged in seed order, so the average is bit-identical at

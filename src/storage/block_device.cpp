@@ -2,20 +2,14 @@
 
 #include <algorithm>
 
-#include "util/logging.hpp"
-
 namespace sqos::storage {
 
 Result<ThrottleGroup*> BlockDevice::create_group(std::string group_name, Bandwidth cap) {
   const Bandwidth next_total = dispatched() + cap;
-  if (next_total > sustained_ && !allow_oversubscribe_) {
+  if (next_total > sustained_) {
     return Status::resource_exhausted("device '" + name_ + "': dispatching " +
                                       next_total.to_string() + " exceeds sustained " +
                                       sustained_.to_string());
-  }
-  if (next_total > sustained_) {
-    Log::warn("device '%s' oversubscribed: %s dispatched over %s sustained", name_.c_str(),
-              next_total.to_string().c_str(), sustained_.to_string().c_str());
   }
   groups_.push_back(std::make_unique<ThrottleGroup>(std::move(group_name), cap));
   return groups_.back().get();

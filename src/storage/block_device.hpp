@@ -25,12 +25,8 @@ class BlockDevice {
   BlockDevice& operator=(const BlockDevice&) = delete;
 
   /// Carve a throttle group (one VM) with the given bps cap. Fails when the
-  /// cap would push the dispatched total beyond the sustained bandwidth,
-  /// unless `allow_oversubscribe` was requested (with a logged warning) —
-  /// useful for stress experiments.
+  /// cap would push the dispatched total beyond the sustained bandwidth.
   [[nodiscard]] Result<ThrottleGroup*> create_group(std::string group_name, Bandwidth cap);
-
-  void set_allow_oversubscribe(bool allow) { allow_oversubscribe_ = allow; }
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Bandwidth sustained() const { return sustained_; }
@@ -39,8 +35,7 @@ class BlockDevice {
   [[nodiscard]] Bandwidth dispatched() const;
 
   /// Sum of the *delivered* (post-throttle) rates across groups. Never
-  /// exceeds dispatched(), hence never exceeds sustained() when not
-  /// oversubscribed.
+  /// exceeds dispatched(), hence never exceeds sustained().
   [[nodiscard]] Bandwidth delivered() const;
 
   [[nodiscard]] std::size_t group_count() const { return groups_.size(); }
@@ -49,7 +44,6 @@ class BlockDevice {
  private:
   std::string name_;
   Bandwidth sustained_;
-  bool allow_oversubscribe_ = false;
   std::vector<std::unique_ptr<ThrottleGroup>> groups_;
 };
 

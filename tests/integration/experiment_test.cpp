@@ -135,6 +135,29 @@ TEST(RunAveraged, AveragesAcrossSeeds) {
   EXPECT_DOUBLE_EQ(single.fail_rate, one.fail_rate);
 }
 
+TEST(RunAveraged, AveragesEachMmShard) {
+  ExperimentParams p = small(64, core::AllocationMode::kFirm);
+  dfs::ClusterConfig cluster = paper_cluster_config();
+  cluster.mm_shards = 2;
+  p.cluster = cluster;
+  const ExperimentResult first = run_experiment(p);
+  ExperimentParams next = p;
+  next.seed = p.seed + 1;
+  const ExperimentResult second = run_experiment(next);
+  ASSERT_EQ(first.mm_shard_messages.size(), 2u);
+  ASSERT_EQ(second.mm_shard_messages.size(), 2u);
+  ASSERT_NE(first.mm_shard_messages, second.mm_shard_messages);
+
+  const ExperimentResult avg = run_averaged(p, 2);
+  ASSERT_EQ(avg.mm_shard_messages.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const double mean = (static_cast<double>(first.mm_shard_messages[i]) +
+                         static_cast<double>(second.mm_shard_messages[i])) /
+                        2.0;
+    EXPECT_EQ(avg.mm_shard_messages[i], static_cast<std::uint64_t>(mean + 0.5)) << "shard " << i;
+  }
+}
+
 class ModePolicySweep
     : public ::testing::TestWithParam<std::tuple<core::AllocationMode, core::PolicyWeights>> {};
 

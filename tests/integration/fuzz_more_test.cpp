@@ -1,12 +1,10 @@
 // Additional reference-model and golden checks for the utility layer.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <vector>
 
 #include "storage/disk_store.hpp"
-#include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 
@@ -41,23 +39,6 @@ TEST(ReferenceModel, DiskStoreMatchesMapModel) {
     }
     ASSERT_EQ(disk.used().count(), used);
     ASSERT_EQ(disk.file_count(), model.size());
-  }
-}
-
-TEST(ReferenceModel, HistogramQuantileMatchesSortedVector) {
-  Histogram h{0.0, 1000.0, 200};
-  std::vector<double> samples;
-  Rng rng{2718};
-  for (int i = 0; i < 50'000; ++i) {
-    const double x = rng.uniform(0.0, 1000.0);
-    h.add(x);
-    samples.push_back(x);
-  }
-  std::sort(samples.begin(), samples.end());
-  for (const double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99}) {
-    const double exact = samples[static_cast<std::size_t>(q * static_cast<double>(samples.size() - 1))];
-    // Bucketed quantile is accurate to within one bucket width (5.0).
-    EXPECT_NEAR(h.quantile(q), exact, 6.0) << "q=" << q;
   }
 }
 

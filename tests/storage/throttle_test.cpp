@@ -81,14 +81,6 @@ TEST(BlockDevice, RejectsOverDispatch) {
   EXPECT_EQ(g2.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(BlockDevice, OversubscribeFlagAllows) {
-  BlockDevice dev{"pm1", Bandwidth::mbps(100.0)};
-  dev.set_allow_oversubscribe(true);
-  ASSERT_TRUE(dev.create_group("a", Bandwidth::mbps(80.0)).is_ok());
-  ASSERT_TRUE(dev.create_group("b", Bandwidth::mbps(80.0)).is_ok());
-  EXPECT_DOUBLE_EQ(dev.dispatched().as_mbps(), 160.0);
-}
-
 TEST(BlockDevice, DeliveredCapsAtGroupLimits) {
   BlockDevice dev{"pm1", Bandwidth::mbps(128.0)};
   auto g1 = dev.create_group("RM1", Bandwidth::mbps(20.0));
